@@ -24,12 +24,13 @@
 //   micro_kernels --benchmark_filter='BM_Propagate(PerSpec|Batched)|BM_CacheWarmStart' \
 //                 --benchmark_out=BENCH_batch.json --benchmark_out_format=json
 //
-// BM_PropagateLayerPair / BM_FusedChain / BM_TwoTier measure the fused
-// affine->ReLU kernel chains and the two-tier screened fast path; CI's
-// fused-kernel-smoke job records them into BENCH_kernels.json and gates
-// BM_FusedChain >= 1.3x over BM_PropagateLayerPair at threads=1 (min
-// cpu_time over the repetitions):
-//   micro_kernels --benchmark_filter='BM_PropagateLayerPair|BM_FusedChain|BM_TwoTier' \
+// BM_LinearBox / BM_LinearBoxDotForm guard the Linear weight layout:
+// Linear::applyToBox on the stored W^T against the two-matmulTransB
+// [Out, In] dot form it replaced (bit-identical outputs). CI's
+// fused-kernel-smoke job records them, with BM_PropagateLayerPair and
+// BM_TwoTier, into BENCH_kernels.json and gates BM_LinearBox >= 1.3x over
+// BM_LinearBoxDotForm at threads=1 (min cpu_time over the repetitions):
+//   micro_kernels --benchmark_filter='BM_LinearBox|BM_PropagateLayerPair|BM_TwoTier' \
 //                 --benchmark_repetitions=3 \
 //                 --benchmark_out=BENCH_kernels.json --benchmark_out_format=json
 //
@@ -47,6 +48,8 @@
 #include "src/util/rng.h"
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 namespace {
 
@@ -207,7 +210,7 @@ void BM_ConcurrentCells(benchmark::State &State) {
     const std::vector<int64_t> Dims{8, 48, 48, 10};
     for (size_t I = 0; I + 1 < Dims.size(); ++I) {
       auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-      L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.5);
+      L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.5));
       L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.3);
       Net.add(std::move(L));
       if (I + 2 < Dims.size())
@@ -251,7 +254,7 @@ void propagateDegree(benchmark::State &State, int Degree) {
   const std::vector<int64_t> Dims{8, 64, 64, 10};
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.5);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.5));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.3);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -303,7 +306,7 @@ void BM_Instrumentation(benchmark::State &State) {
   const std::vector<int64_t> Dims{8, 64, 64, 10};
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.5);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.5));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.3);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -338,7 +341,7 @@ Sequential sharedDecoder(Rng &R) {
   const std::vector<int64_t> Dims{8, 128, 128, 10};
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.5);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.5));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.3);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -465,23 +468,64 @@ void BM_CacheWarmStart(benchmark::State &State) {
 BENCHMARK(BM_CacheWarmStart)->ArgName("warm")->Arg(0)->Arg(1);
 
 //===----------------------------------------------------------------------===//
-// Fused affine->ReLU chains and the two-tier screen (docs/PERFORMANCE.md).
-// BM_PropagateLayerPair is the unfused baseline: each Linear->ReLU pair
-// round-trips the abstract state through memory (node GEMM + center GEMM +
-// radius |W| GEMM, then a separate rectification pass). BM_FusedChain runs
-// the same pipeline with Config.FuseRelu: the box planes stream through
-// fusedBoxAffineTransB (one sweep of W instead of two) and the ReLU is
-// applied while the rows are cache-hot. Bounds are bit-identical; the
-// wall-clock ratio is the fusion win CI asserts (>= 1.3x at threads=1)
-// from BENCH_kernels.json.
+// The Linear weight layout and the two-tier screen (docs/PERFORMANCE.md).
+// BM_LinearBox runs Linear::applyToBox on a batch of boxes: one streaming
+// pass over the stored W^T computes the center and radius planes, with
+// |W| taken on the fly. BM_LinearBoxDotForm is the [Out, In] reference it
+// replaced: a center matmulTransB plus bias pass and a radius matmulTransB
+// against a precomputed |W|. Outputs are bit-identical; the wall-clock
+// ratio is the layout win CI asserts (>= 1.3x at threads=1) from
+// BENCH_kernels.json. BM_PropagateLayerPair times the whole engine on a
+// deep Linear->ReLU chain.
 //===----------------------------------------------------------------------===//
+
+constexpr int64_t BoxRows = 32, BoxIn = 512, BoxOut = 512;
+
+void BM_LinearBox(benchmark::State &State) {
+  PoolScope Scope(State.range(0));
+  Rng R(13);
+  Linear L(BoxIn, BoxOut);
+  L.setWeight(Tensor::randn({BoxOut, BoxIn}, R, 0.3));
+  L.bias() = Tensor::randn({BoxOut}, R, 0.2);
+  const Tensor Center = Tensor::randn({BoxRows, BoxIn}, R);
+  const Tensor Radius = Tensor::rand({BoxRows, BoxIn}, R, 0.0, 0.1);
+  for (auto _ : State) {
+    Tensor C = Center, Rad = Radius;
+    L.applyToBox(C, Rad);
+    benchmark::DoNotOptimize(C.data());
+    benchmark::DoNotOptimize(Rad.data());
+  }
+}
+BENCHMARK(BM_LinearBox)->ArgName("threads")->Arg(1)->Arg(4);
+
+void BM_LinearBoxDotForm(benchmark::State &State) {
+  PoolScope Scope(State.range(0));
+  Rng R(13);
+  const Tensor W = Tensor::randn({BoxOut, BoxIn}, R, 0.3);
+  const Tensor Bias = Tensor::randn({BoxOut}, R, 0.2);
+  Tensor AbsW = W;
+  for (int64_t I = 0; I < AbsW.numel(); ++I)
+    AbsW[I] = std::fabs(AbsW[I]);
+  const Tensor Center = Tensor::randn({BoxRows, BoxIn}, R);
+  const Tensor Radius = Tensor::rand({BoxRows, BoxIn}, R, 0.0, 0.1);
+  for (auto _ : State) {
+    Tensor C = matmulTransB(Center, W);
+    for (int64_t I = 0; I < BoxRows; ++I)
+      for (int64_t J = 0; J < BoxOut; ++J)
+        C.at(I, J) += Bias[J];
+    Tensor Rad = matmulTransB(Radius, AbsW);
+    benchmark::DoNotOptimize(C.data());
+    benchmark::DoNotOptimize(Rad.data());
+  }
+}
+BENCHMARK(BM_LinearBoxDotForm)->ArgName("threads")->Arg(1)->Arg(4);
 
 Sequential deepPairChain(Rng &R) {
   Sequential Net;
   const std::vector<int64_t> Dims{64, 512, 512, 512, 512, 10};
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.3);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.3));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.2);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -490,7 +534,7 @@ Sequential deepPairChain(Rng &R) {
   return Net;
 }
 
-void propagatePairChain(benchmark::State &State, bool Fuse) {
+void BM_PropagateLayerPair(benchmark::State &State) {
   PoolScope Scope(State.range(0));
   Rng R(11);
   Sequential Net = deepPairChain(R);
@@ -498,23 +542,14 @@ void propagatePairChain(benchmark::State &State, bool Fuse) {
   Tensor End = Start.clone();
   for (int64_t J = 0; J < 64; ++J)
     End[J] += R.normal(0.0, 0.05);
-  GenProveConfig Config;
-  Config.FuseRelu = Fuse;
-  const GenProve Analyzer(Config);
+  const GenProve Analyzer{GenProveConfig{}};
   for (auto _ : State) {
     const PropagatedState Final =
         Analyzer.propagateSegment(Net.view(), Shape({1, 64}), Start, End);
     benchmark::DoNotOptimize(Final.Regions.size());
   }
 }
-
-void BM_PropagateLayerPair(benchmark::State &State) {
-  propagatePairChain(State, false);
-}
 BENCHMARK(BM_PropagateLayerPair)->ArgName("threads")->Arg(1)->Arg(4);
-
-void BM_FusedChain(benchmark::State &State) { propagatePairChain(State, true); }
-BENCHMARK(BM_FusedChain)->ArgName("threads")->Arg(1)->Arg(4);
 
 /// The two-tier precision fast path on clearly-decidable traffic: the
 /// same analysis with the full sound double tier (screen:0) vs
@@ -530,7 +565,7 @@ void BM_TwoTier(benchmark::State &State) {
   const std::vector<int64_t> Dims{8, 96, 96, 10};
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.4);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.4));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.2);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())

@@ -23,7 +23,6 @@ PropagateConfig GenProve::basePropConfig(double P, double K) const {
   PropConfig.EnableRelax = P > 0.0;
   PropConfig.Cdf = makeCdf(Config.Distribution);
   PropConfig.Resilience = Config.Resilience;
-  PropConfig.FuseRelu = Config.FuseRelu;
   if (Config.UseCache) {
     PropConfig.Cache = &PropagationCache::global();
     // Caller tag: the abstract-domain identity plus the distribution

@@ -61,14 +61,6 @@ struct GenProveConfig {
   /// on resilient or fault-injected runs; warm-started bounds are
   /// bit-identical to cold ones.
   bool UseCache = true;
-  /// Stream each affine->ReLU layer pair through one fused cache-resident
-  /// kernel instead of round-tripping the abstract state through memory
-  /// between the layers. Results are bit-identical to the unfused path at
-  /// any thread count in both rounding modes (the fused kernels keep the
-  /// exact per-element ascending-k accumulation order); fused and unfused
-  /// runs use distinct propagation-cache salts so mid-chain states are
-  /// never shared across the flag.
-  bool FuseRelu = false;
   /// Two-tier precision fast path for analyzeSegment: a float32 screening
   /// propagation classifies each parameter-range piece as clearly-inside /
   /// clearly-outside / borderline using a sound error-margin cushion

@@ -43,7 +43,7 @@ std::vector<ConvexResult>
 analyzeBoxMulti(const std::vector<const Layer *> &Layers,
                 const Shape &InputShape, const Tensor &Start,
                 const Tensor &End, const std::vector<OutputSpec> &Specs,
-                DeviceMemoryModel &Memory, bool Fuse) {
+                DeviceMemoryModel &Memory) {
   Tensor Center, Radius;
   segmentBox(Start, End, Center, Radius);
   std::vector<Region> Init;
@@ -51,7 +51,6 @@ analyzeBoxMulti(const std::vector<const Layer *> &Layers,
 
   PropagateConfig Config;
   Config.EnableRelax = false;
-  Config.FuseRelu = Fuse;
   PropagateStats Stats;
   const std::vector<Region> Final =
       propagateRegions(Layers, InputShape, std::move(Init), Config, Memory,
@@ -80,7 +79,7 @@ analyzeBoxBatch(const std::vector<const Layer *> &Layers,
                 const Shape &InputShape,
                 const std::vector<std::pair<Tensor, Tensor>> &Segments,
                 const std::vector<OutputSpec> &Specs,
-                DeviceMemoryModel &Memory, bool Fuse) {
+                DeviceMemoryModel &Memory) {
   const size_t K = Segments.size();
   std::vector<std::vector<ConvexResult>> Out(K);
   if (K == 0)
@@ -101,7 +100,6 @@ analyzeBoxBatch(const std::vector<const Layer *> &Layers,
 
   PropagateConfig Config;
   Config.EnableRelax = false;
-  Config.FuseRelu = Fuse;
   PropagateStats Stats;
   std::vector<Region> Final =
       propagateRegions(Layers, InputShape, std::move(Init), Config, Memory,
@@ -112,7 +110,7 @@ analyzeBoxBatch(const std::vector<const Layer *> &Layers,
     // per-segment analyses so bounds match a caller-side loop.
     for (size_t I = 0; I < K; ++I)
       Out[I] = analyzeBoxMulti(Layers, InputShape, Segments[I].first,
-                               Segments[I].second, Specs, Memory, Fuse);
+                               Segments[I].second, Specs, Memory);
     return Out;
   }
 
@@ -140,9 +138,8 @@ analyzeBoxBatch(const std::vector<const Layer *> &Layers,
 ConvexResult analyzeBox(const std::vector<const Layer *> &Layers,
                         const Shape &InputShape, const Tensor &Start,
                         const Tensor &End, const OutputSpec &Spec,
-                        DeviceMemoryModel &Memory, bool Fuse) {
-  return analyzeBoxMulti(Layers, InputShape, Start, End, {Spec}, Memory,
-                         Fuse)
+                        DeviceMemoryModel &Memory) {
+  return analyzeBoxMulti(Layers, InputShape, Start, End, {Spec}, Memory)
       .front();
 }
 

@@ -2,8 +2,6 @@
 
 #include "src/domains/hybrid_zonotope.h"
 
-#include "src/nn/linear.h"
-#include "src/tensor/ops.h"
 #include "src/util/fp.h"
 
 #include <algorithm>
@@ -51,13 +49,8 @@ HybridState initHybridState(const Tensor &Start, const Tensor &End) {
 /// single stacked applyToBox calls, all generator rows through one
 /// applyLinear. Every kernel is row-independent, so each state's rows are
 /// bit-identical to a one-state call.
-/// With \p Fuse (the layer is known Linear, feeding a ReLU) the
-/// center/slack/magnitude planes run through the fused single-pass weight
-/// kernel (tensor/ops.h); unlike the plain zonotope the hybrid slack is
-/// live in round-to-nearest mode too, so both rounding modes take the
-/// fused kernel. Every output element is bit-identical either way.
 void applyAffineToStates(const Layer *L, const Shape &CurShape,
-                         std::vector<HybridState> &States, bool Fuse) {
+                         std::vector<HybridState> &States) {
   const bool Sound = soundRoundingEnabled();
   const int64_t K = static_cast<int64_t>(States.size());
   const int64_t N = States.front().Center.numel();
@@ -87,10 +80,6 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
   // rounding error of every round-to-nearest kernel below can be charged
   // to the slack afterward.
   Tensor Mags, BiasImages;
-  // Fused path: the zero-input bias image is the bias vector itself (a
-  // zero dot product is +0.0 under round-to-nearest, and |+-0.0 + b| ==
-  // |b| bitwise), so the epilogue reads the shared bias row directly.
-  const double *FusedBias = nullptr;
   if (Sound) {
     Mags = Tensor({K, N});
     for (int64_t I = 0; I < K; ++I) {
@@ -104,40 +93,24 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
     }
   }
 
-  if (Fuse) {
-    const Linear *Lin = static_cast<const Linear *>(L);
-    const Tensor &Wt = Lin->transposedWeight();
-    const Tensor &Bias = Lin->bias();
-    Tensor NewCenters, NewSlacks, NewMags;
-    fusedBoxAffineTransT(Centers, Slacks, Sound ? &Mags : nullptr, Wt, Bias,
-                         NewCenters, NewSlacks, Sound ? &NewMags : nullptr);
-    Centers = std::move(NewCenters);
-    Slacks = std::move(NewSlacks);
-    if (Sound) {
-      Mags = std::move(NewMags);
-      FusedBias = Bias.data();
-    }
-    AllGens = matmul(AllGens, Wt);
-  } else {
-    if (Sound) {
-      BiasImages = Tensor({K, N});
-      Tensor BiasActs = reshapeRows(BiasImages, CurShape);
-      Tensor MagActs = reshapeRows(Mags, CurShape);
-      L->applyToBox(BiasActs, MagActs);
-      BiasImages = flattenRows(BiasActs);
-      Mags = flattenRows(MagActs);
-    }
-
-    // Slack propagates like a box radius; applyToBox maps the centers too.
-    {
-      Tensor CenterActs = reshapeRows(Centers, CurShape);
-      Tensor SlackActs = reshapeRows(Slacks, CurShape);
-      L->applyToBox(CenterActs, SlackActs);
-      Centers = flattenRows(CenterActs);
-      Slacks = flattenRows(SlackActs);
-    }
-    AllGens = flattenRows(L->applyLinear(reshapeRows(AllGens, CurShape)));
+  if (Sound) {
+    BiasImages = Tensor({K, N});
+    Tensor BiasActs = reshapeRows(BiasImages, CurShape);
+    Tensor MagActs = reshapeRows(Mags, CurShape);
+    L->applyToBox(BiasActs, MagActs);
+    BiasImages = flattenRows(BiasActs);
+    Mags = flattenRows(MagActs);
   }
+
+  // Slack propagates like a box radius; applyToBox maps the centers too.
+  {
+    Tensor CenterActs = reshapeRows(Centers, CurShape);
+    Tensor SlackActs = reshapeRows(Slacks, CurShape);
+    L->applyToBox(CenterActs, SlackActs);
+    Centers = flattenRows(CenterActs);
+    Slacks = flattenRows(SlackActs);
+  }
+  AllGens = flattenRows(L->applyLinear(reshapeRows(AllGens, CurShape)));
 
   const double Gamma =
       Sound ? fp::accumulationBound(L->accumulationDepth()) : 0.0;
@@ -162,9 +135,7 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
             NewSlack[J],
             fp::mulUp(Gamma,
                       fp::addUp(Mags.at(I, J),
-                                std::fabs(FusedBias
-                                              ? FusedBias[J]
-                                              : BiasImages.at(I, J)))));
+                                std::fabs(BiasImages.at(I, J)))));
     St.Center = std::move(NewCenter);
     St.Slack = std::move(NewSlack);
     St.Gens = std::move(NewGens);
@@ -231,24 +202,13 @@ bool propagateHybridBatch(
     const std::vector<const Layer *> &Layers, const Shape &InputShape,
     const std::vector<std::pair<Tensor, Tensor>> &Segments,
     DeviceMemoryModel &Memory, std::vector<HybridState> &States,
-    ConvexResult &Result, bool Fuse) {
+    ConvexResult &Result) {
   States.clear();
   States.reserve(Segments.size());
   for (const auto &Seg : Segments)
     States.push_back(initHybridState(Seg.first, Seg.second));
 
   Shape CurShape = InputShape;
-  // The fused path consumes a Linear->ReLU pair per iteration but replays
-  // both layer boundaries' charges (pair boundary from pre-ReLU
-  // snapshots), so OOM points and telemetry match the unfused run. The
-  // hybrid generator count is fixed, but the replay keeps the charge
-  // sequence literally identical.
-  auto ChargeRows = [&](int64_t Rows, int64_t MaxG, int64_t Numel) {
-    Result.MaxGenerators = std::max(Result.MaxGenerators, MaxG);
-    const bool Ok = Memory.chargeState(Rows, Numel);
-    Result.PeakBytes = Memory.peakBytes();
-    return Ok;
-  };
   auto Charge = [&]() {
     int64_t Rows = 0;
     int64_t MaxG = 0;
@@ -256,36 +216,18 @@ bool propagateHybridBatch(
       MaxG = std::max(MaxG, St.Gens.dim(0));
       Rows += St.Gens.dim(0) + 2;
     }
-    return ChargeRows(Rows, MaxG, CurShape.numel());
+    Result.MaxGenerators = std::max(Result.MaxGenerators, MaxG);
+    const bool Ok = Memory.chargeState(Rows, CurShape.numel());
+    Result.PeakBytes = Memory.peakBytes();
+    return Ok;
   };
   if (!Charge())
     return false;
 
-  const size_t NumLayers = Layers.size();
-  for (size_t Li = 0; Li < NumLayers; ++Li) {
-    const Layer *L = Layers[Li];
+  for (const Layer *L : Layers) {
     if (L->isAffine()) {
-      const bool FuseNext = Fuse && L->kind() == Layer::Kind::Linear &&
-                            Li + 1 < NumLayers &&
-                            Layers[Li + 1]->kind() == Layer::Kind::ReLU;
-      applyAffineToStates(L, CurShape, States, FuseNext);
+      applyAffineToStates(L, CurShape, States);
       CurShape = L->outputShape(CurShape);
-      if (FuseNext) {
-        int64_t RowsPre = 0;
-        int64_t MaxGPre = 0;
-        for (const HybridState &St : States) {
-          MaxGPre = std::max(MaxGPre, St.Gens.dim(0));
-          RowsPre += St.Gens.dim(0) + 2;
-        }
-        for (HybridState &St : States)
-          applyReluToState(St);
-        if (!ChargeRows(RowsPre, MaxGPre, CurShape.numel()))
-          return false;
-        if (!Charge())
-          return false;
-        ++Li; // the ReLU layer was consumed by the fused step
-        continue;
-      }
     } else {
       for (HybridState &St : States)
         applyReluToState(St);
@@ -301,12 +243,12 @@ bool propagateHybridBatch(
 bool propagateHybrid(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, DeviceMemoryModel &Memory,
-                     HybridState &St, ConvexResult &Result, bool Fuse) {
+                     HybridState &St, ConvexResult &Result) {
   std::vector<std::pair<Tensor, Tensor>> Segments;
   Segments.emplace_back(Start, End);
   std::vector<HybridState> States;
   if (!propagateHybridBatch(Layers, InputShape, Segments, Memory, States,
-                            Result, Fuse))
+                            Result))
     return false;
   St = std::move(States.front());
   return true;
@@ -372,12 +314,10 @@ ProbBounds liftedBounds(const HybridState &St, const OutputSpec &Spec) {
 std::vector<ConvexResult> analyzeHybridZonotopeMulti(
     const std::vector<const Layer *> &Layers, const Shape &InputShape,
     const Tensor &Start, const Tensor &End,
-    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory,
-    bool Fuse) {
+    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory) {
   ConvexResult Result;
   HybridState St;
-  if (!propagateHybrid(Layers, InputShape, Start, End, Memory, St, Result,
-                       Fuse)) {
+  if (!propagateHybrid(Layers, InputShape, Start, End, Memory, St, Result)) {
     Result.Bounds = {0.0, 1.0, true};
     return std::vector<ConvexResult>(Specs.size(), Result);
   }
@@ -394,8 +334,7 @@ std::vector<ConvexResult> analyzeHybridZonotopeMulti(
 std::vector<std::vector<ConvexResult>> analyzeHybridZonotopeBatch(
     const std::vector<const Layer *> &Layers, const Shape &InputShape,
     const std::vector<std::pair<Tensor, Tensor>> &Segments,
-    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory,
-    bool Fuse) {
+    const std::vector<OutputSpec> &Specs, DeviceMemoryModel &Memory) {
   const size_t K = Segments.size();
   std::vector<std::vector<ConvexResult>> Out(K);
   if (K == 0)
@@ -403,13 +342,13 @@ std::vector<std::vector<ConvexResult>> analyzeHybridZonotopeBatch(
   ConvexResult Joint;
   std::vector<HybridState> States;
   if (!propagateHybridBatch(Layers, InputShape, Segments, Memory, States,
-                            Joint, Fuse)) {
+                            Joint)) {
     // The joint state blew the budget: fall back to sequential
     // per-segment analyses so bounds match a caller-side loop.
     for (size_t I = 0; I < K; ++I)
       Out[I] =
           analyzeHybridZonotopeMulti(Layers, InputShape, Segments[I].first,
-                                     Segments[I].second, Specs, Memory, Fuse);
+                                     Segments[I].second, Specs, Memory);
     return Out;
   }
   for (size_t I = 0; I < K; ++I) {
@@ -427,22 +366,20 @@ ConvexResult analyzeHybridZonotope(const std::vector<const Layer *> &Layers,
                                    const Shape &InputShape,
                                    const Tensor &Start, const Tensor &End,
                                    const OutputSpec &Spec,
-                                   DeviceMemoryModel &Memory, bool Fuse) {
+                                   DeviceMemoryModel &Memory) {
   return analyzeHybridZonotopeMulti(Layers, InputShape, Start, End, {Spec},
-                                    Memory, Fuse)
+                                    Memory)
       .front();
 }
 
 ZonotopeOutputBounds
 hybridZonotopeOutputBounds(const std::vector<const Layer *> &Layers,
                            const Shape &InputShape, const Tensor &Start,
-                           const Tensor &End, DeviceMemoryModel &Memory,
-                           bool Fuse) {
+                           const Tensor &End, DeviceMemoryModel &Memory) {
   ZonotopeOutputBounds Out;
   ConvexResult Result;
   HybridState St;
-  if (!propagateHybrid(Layers, InputShape, Start, End, Memory, St, Result,
-                       Fuse)) {
+  if (!propagateHybrid(Layers, InputShape, Start, End, Memory, St, Result)) {
     Out.OutOfMemory = true;
     return Out;
   }

@@ -30,7 +30,7 @@ ScreenPlan buildScreenPlan(const std::vector<const Layer *> &Layers) {
     switch (L->kind()) {
     case Layer::Kind::Linear: {
       const Linear *Lin = static_cast<const Linear *>(L);
-      const Tensor &W = Lin->weight(); // [Out, In]
+      const Tensor W = Lin->weight(); // [Out, In]
       const Tensor &Bias = Lin->bias();
       Step.Kind = ScreenLayerPlan::Op::Affine;
       Step.OutF = W.dim(0);

@@ -2,8 +2,6 @@
 
 #include "src/domains/zonotope.h"
 
-#include "src/nn/linear.h"
-#include "src/tensor/ops.h"
 #include "src/util/fp.h"
 
 #include <algorithm>
@@ -78,12 +76,8 @@ Tensor absColumnSums(const Tensor &Gens) {
 /// to a one-state call. The center/generator kernels are the unchanged
 /// round-to-nearest paths; in sound mode the slack additionally absorbs a
 /// rigorous bound on all of their rounding errors.
-/// With \p Fuse (the layer is known Linear, feeding a ReLU) the
-/// center/slack/magnitude planes run through the fused single-pass weight
-/// kernel (tensor/ops.h) instead of four separate box/affine calls; every
-/// output element is bit-identical either way.
 void applyAffineToStates(const Layer *L, const Shape &CurShape,
-                         std::vector<ZonoState> &States, bool Fuse) {
+                         std::vector<ZonoState> &States) {
   const bool Sound = soundRoundingEnabled();
   const int64_t K = static_cast<int64_t>(States.size());
   const int64_t N = States.front().Center.numel();
@@ -107,11 +101,6 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
   }
 
   Tensor Mags, BiasImages, Slacks;
-  // In the fused path the bias image of the zero-input box transform is
-  // replaced by the bias vector itself (a zero dot product is +0.0 under
-  // round-to-nearest, and |+-0.0 + b| == |b| bitwise), so the epilogue
-  // reads the shared bias row instead of per-state bias images.
-  const double *FusedBias = nullptr;
   if (Sound) {
     // Magnitude bound on any represented (or concretely forwarded) point:
     // |x| <= |c| + sum_g |g| + slack, per state.
@@ -125,52 +114,28 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
             Mag[J], fp::addUp(std::fabs(St.Center[J]), St.Slack[J]));
       std::copy(St.Slack.data(), St.Slack.data() + N, Slacks.data() + I * N);
     }
+    // One box application on zero centers yields the bias images and
+    // |A| * Mag; a second one propagates the slacks themselves through
+    // |A|.
+    BiasImages = Tensor({K, N});
+    {
+      Tensor BiasActs = reshapeRows(BiasImages, CurShape);
+      Tensor MagActs = reshapeRows(Mags, CurShape);
+      L->applyToBox(BiasActs, MagActs);
+      BiasImages = flattenRows(BiasActs);
+      Mags = flattenRows(MagActs);
+    }
+    {
+      Tensor SlackCenters = Centers.clone();
+      Tensor CenterActs = reshapeRows(SlackCenters, CurShape);
+      Tensor SlackActs = reshapeRows(Slacks, CurShape);
+      L->applyToBox(CenterActs, SlackActs);
+      Slacks = flattenRows(SlackActs);
+    }
   }
 
-  if (Fuse) {
-    const Linear *Lin = static_cast<const Linear *>(L);
-    const Tensor &Wt = Lin->transposedWeight();
-    const Tensor &Bias = Lin->bias();
-    if (Sound) {
-      // One weight stream produces the center images (against W) and the
-      // slack and magnitude images (against |W|); bit-identical to the
-      // two applyToBox calls plus applyAffine of the unfused path.
-      Tensor NewCenters, NewSlacks, NewMags;
-      fusedBoxAffineTransT(Centers, Slacks, &Mags, Wt, Bias, NewCenters,
-                           NewSlacks, &NewMags);
-      Centers = std::move(NewCenters);
-      Slacks = std::move(NewSlacks);
-      Mags = std::move(NewMags);
-      FusedBias = Bias.data();
-    } else {
-      Centers = matmulTransTBias(Centers, Wt, Bias);
-    }
-    AllGens = matmul(AllGens, Wt);
-  } else {
-    if (Sound) {
-      // One box application on zero centers yields the bias images and
-      // |A| * Mag; a second one propagates the slacks themselves through
-      // |A|.
-      BiasImages = Tensor({K, N});
-      {
-        Tensor BiasActs = reshapeRows(BiasImages, CurShape);
-        Tensor MagActs = reshapeRows(Mags, CurShape);
-        L->applyToBox(BiasActs, MagActs);
-        BiasImages = flattenRows(BiasActs);
-        Mags = flattenRows(MagActs);
-      }
-      {
-        Tensor SlackCenters = Centers.clone();
-        Tensor CenterActs = reshapeRows(SlackCenters, CurShape);
-        Tensor SlackActs = reshapeRows(Slacks, CurShape);
-        L->applyToBox(CenterActs, SlackActs);
-        Slacks = flattenRows(SlackActs);
-      }
-    }
-
-    Centers = flattenRows(L->applyAffine(reshapeRows(Centers, CurShape)));
-    AllGens = flattenRows(L->applyLinear(reshapeRows(AllGens, CurShape)));
-  }
+  Centers = flattenRows(L->applyAffine(reshapeRows(Centers, CurShape)));
+  AllGens = flattenRows(L->applyLinear(reshapeRows(AllGens, CurShape)));
 
   // gamma * (|A| Mag + |b|) bounds, with a wide margin, the sum of the
   // rounding errors of the center map, every generator row, the slack
@@ -196,9 +161,7 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
             Slacks.at(I, J),
             fp::mulUp(Gamma,
                       fp::addUp(Mags.at(I, J),
-                                std::fabs(FusedBias
-                                              ? FusedBias[J]
-                                              : BiasImages.at(I, J)))));
+                                std::fabs(BiasImages.at(I, J)))));
     St.Center = std::move(NewCenter);
     St.Gens = std::move(NewGens);
     St.Slack = std::move(NewSlack);
@@ -287,22 +250,13 @@ bool propagateZonotopeBatch(
     const std::vector<const Layer *> &Layers, const Shape &InputShape,
     const std::vector<std::pair<Tensor, Tensor>> &Segments, ZonotopeKind Kind,
     DeviceMemoryModel &Memory, std::vector<ZonoState> &States,
-    ConvexResult &Result, bool Fuse) {
+    ConvexResult &Result) {
   States.clear();
   States.reserve(Segments.size());
   for (const auto &Seg : Segments)
     States.push_back(initState(Seg.first, Seg.second));
   Shape CurShape = InputShape;
-  // Telemetry + budget charge for a layer boundary. The fused path
-  // consumes two layers per iteration but replays both boundaries'
-  // charges (the pair boundary from pre-ReLU snapshots), so OOM points,
-  // peak bytes and generator maxima match the unfused run exactly.
-  auto ChargeRows = [&](int64_t Rows, int64_t MaxG, int64_t Numel) {
-    Result.MaxGenerators = std::max(Result.MaxGenerators, MaxG);
-    const bool Ok = Memory.chargeState(Rows, Numel);
-    Result.PeakBytes = Memory.peakBytes();
-    return Ok;
-  };
+  // Telemetry + budget charge for a layer boundary.
   auto Charge = [&]() {
     int64_t Rows = 0;
     int64_t MaxG = 0;
@@ -310,37 +264,17 @@ bool propagateZonotopeBatch(
       MaxG = std::max(MaxG, St.Gens.dim(0));
       Rows += St.Gens.dim(0) + 1;
     }
-    return ChargeRows(Rows, MaxG, CurShape.numel());
+    Result.MaxGenerators = std::max(Result.MaxGenerators, MaxG);
+    const bool Ok = Memory.chargeState(Rows, CurShape.numel());
+    Result.PeakBytes = Memory.peakBytes();
+    return Ok;
   };
   if (!Charge())
     return false;
-  const size_t NumLayers = Layers.size();
-  for (size_t Li = 0; Li < NumLayers; ++Li) {
-    const Layer *L = Layers[Li];
+  for (const Layer *L : Layers) {
     if (L->isAffine()) {
-      const bool FuseNext = Fuse && L->kind() == Layer::Kind::Linear &&
-                            Li + 1 < NumLayers &&
-                            Layers[Li + 1]->kind() == Layer::Kind::ReLU;
-      applyAffineToStates(L, CurShape, States, FuseNext);
+      applyAffineToStates(L, CurShape, States);
       CurShape = L->outputShape(CurShape);
-      if (FuseNext) {
-        // Snapshot the pair-boundary charge before the ReLU can add fresh
-        // generator rows, then rectify while the states are hot.
-        int64_t RowsPre = 0;
-        int64_t MaxGPre = 0;
-        for (const ZonoState &St : States) {
-          MaxGPre = std::max(MaxGPre, St.Gens.dim(0));
-          RowsPre += St.Gens.dim(0) + 1;
-        }
-        for (ZonoState &St : States)
-          applyReluToState(Kind, St);
-        if (!ChargeRows(RowsPre, MaxGPre, CurShape.numel()))
-          return false;
-        if (!Charge())
-          return false;
-        ++Li; // the ReLU layer was consumed by the fused step
-        continue;
-      }
     } else {
       for (ZonoState &St : States)
         applyReluToState(Kind, St);
@@ -357,12 +291,12 @@ bool propagateZonotope(const std::vector<const Layer *> &Layers,
                        const Shape &InputShape, const Tensor &Start,
                        const Tensor &End, ZonotopeKind Kind,
                        DeviceMemoryModel &Memory, ZonoState &St,
-                       ConvexResult &Result, bool Fuse) {
+                       ConvexResult &Result) {
   std::vector<std::pair<Tensor, Tensor>> Segments;
   Segments.emplace_back(Start, End);
   std::vector<ZonoState> States;
   if (!propagateZonotopeBatch(Layers, InputShape, Segments, Kind, Memory,
-                              States, Result, Fuse))
+                              States, Result))
     return false;
   St = std::move(States.front());
   return true;
@@ -429,12 +363,11 @@ std::vector<ConvexResult>
 analyzeZonotopeMulti(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, const std::vector<OutputSpec> &Specs,
-                     ZonotopeKind Kind, DeviceMemoryModel &Memory,
-                     bool Fuse) {
+                     ZonotopeKind Kind, DeviceMemoryModel &Memory) {
   ConvexResult Result;
   ZonoState St;
   if (!propagateZonotope(Layers, InputShape, Start, End, Kind, Memory, St,
-                         Result, Fuse)) {
+                         Result)) {
     Result.Bounds = {0.0, 1.0, true};
     return std::vector<ConvexResult>(Specs.size(), Result);
   }
@@ -453,7 +386,7 @@ analyzeZonotopeBatch(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape,
                      const std::vector<std::pair<Tensor, Tensor>> &Segments,
                      const std::vector<OutputSpec> &Specs, ZonotopeKind Kind,
-                     DeviceMemoryModel &Memory, bool Fuse) {
+                     DeviceMemoryModel &Memory) {
   const size_t K = Segments.size();
   std::vector<std::vector<ConvexResult>> Out(K);
   if (K == 0)
@@ -461,14 +394,13 @@ analyzeZonotopeBatch(const std::vector<const Layer *> &Layers,
   ConvexResult Joint;
   std::vector<ZonoState> States;
   if (!propagateZonotopeBatch(Layers, InputShape, Segments, Kind, Memory,
-                              States, Joint, Fuse)) {
+                              States, Joint)) {
     // The joint state blew the budget: fall back to sequential
     // per-segment analyses, which see exactly what a caller-side loop
     // would (each segment charges the device on its own).
     for (size_t I = 0; I < K; ++I)
       Out[I] = analyzeZonotopeMulti(Layers, InputShape, Segments[I].first,
-                                    Segments[I].second, Specs, Kind, Memory,
-                                    Fuse);
+                                    Segments[I].second, Specs, Kind, Memory);
     return Out;
   }
   for (size_t I = 0; I < K; ++I) {
@@ -485,10 +417,9 @@ analyzeZonotopeBatch(const std::vector<const Layer *> &Layers,
 ConvexResult analyzeZonotope(const std::vector<const Layer *> &Layers,
                              const Shape &InputShape, const Tensor &Start,
                              const Tensor &End, const OutputSpec &Spec,
-                             ZonotopeKind Kind, DeviceMemoryModel &Memory,
-                             bool Fuse) {
+                             ZonotopeKind Kind, DeviceMemoryModel &Memory) {
   return analyzeZonotopeMulti(Layers, InputShape, Start, End, {Spec}, Kind,
-                              Memory, Fuse)
+                              Memory)
       .front();
 }
 
@@ -496,12 +427,12 @@ ZonotopeOutputBounds
 zonotopeOutputBounds(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, ZonotopeKind Kind,
-                     DeviceMemoryModel &Memory, bool Fuse) {
+                     DeviceMemoryModel &Memory) {
   ZonotopeOutputBounds Out;
   ConvexResult Result;
   ZonoState St;
   if (!propagateZonotope(Layers, InputShape, Start, End, Kind, Memory, St,
-                         Result, Fuse)) {
+                         Result)) {
     Out.OutOfMemory = true;
     return Out;
   }

@@ -46,18 +46,10 @@ struct ConvexResult {
 
 /// Analyze the segment e1->e2 (flat [1, N] endpoints) through the layers
 /// against the spec.
-///
-/// With \p Fuse, each Linear->ReLU layer pair streams through the fused
-/// single-pass kernels of tensor/ops.h (center, generator, and — in sound
-/// mode — slack/magnitude planes computed in one sweep over the weight
-/// matrix, ReLU applied while the rows are cache-hot). Bounds, OOM points
-/// and telemetry are bit-identical to the unfused analysis at any thread
-/// count in both rounding modes; only wall-clock time changes.
 ConvexResult analyzeZonotope(const std::vector<const Layer *> &Layers,
                              const Shape &InputShape, const Tensor &Start,
                              const Tensor &End, const OutputSpec &Spec,
-                             ZonotopeKind Kind, DeviceMemoryModel &Memory,
-                             bool Fuse = false);
+                             ZonotopeKind Kind, DeviceMemoryModel &Memory);
 
 /// Propagation is specification-independent: analyze once and evaluate
 /// every spec on the final zonotope. Returns one ConvexResult per spec
@@ -66,8 +58,7 @@ std::vector<ConvexResult>
 analyzeZonotopeMulti(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, const std::vector<OutputSpec> &Specs,
-                     ZonotopeKind Kind, DeviceMemoryModel &Memory,
-                     bool Fuse = false);
+                     ZonotopeKind Kind, DeviceMemoryModel &Memory);
 
 /// Batched analysis: propagate many segments through the same pipeline at
 /// once, stacking every query's center and generator rows into single
@@ -88,7 +79,7 @@ analyzeZonotopeBatch(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape,
                      const std::vector<std::pair<Tensor, Tensor>> &Segments,
                      const std::vector<OutputSpec> &Specs, ZonotopeKind Kind,
-                     DeviceMemoryModel &Memory, bool Fuse = false);
+                     DeviceMemoryModel &Memory);
 
 /// Per-dimension interval hull of the final zonotope, rounded outward.
 /// Used by the soundness audit (src/audit) to check containment of
@@ -102,7 +93,7 @@ ZonotopeOutputBounds
 zonotopeOutputBounds(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, ZonotopeKind Kind,
-                     DeviceMemoryModel &Memory, bool Fuse = false);
+                     DeviceMemoryModel &Memory);
 
 } // namespace genprove
 

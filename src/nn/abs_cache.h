@@ -1,21 +1,29 @@
-//===- nn/abs_cache.h - Cached absolute-weight tensor ----------*- C++ -*-===//
+//===- nn/abs_cache.h - Parameter generations and cached |W| ---*- C++ -*-===//
 ///
 /// \file
-/// Memoized elementwise |W| for interval (box) propagation. Every
-/// applyToBox used to clone + fabs the weight tensor per call, which on
-/// deep decoders re-did the same O(|W|) work thousands of times per
-/// certification run; the cache builds |W| once and rebuilds only after
-/// an invalidate().
+/// Two pieces of per-layer parameter bookkeeping:
 ///
-/// Invalidation contract: the owning layer bumps the cache from every
+///  * ParamGeneration: a generation counter that advances whenever the
+///    parameters may have been mutated, with the layer's parameter
+///    fingerprint (what the propagation cache keys on) memoized against
+///    it. Every parameterized layer owns one.
+///  * AbsWeightCache: a ParamGeneration that also memoizes the elementwise
+///    |W| the convolution layers feed to their interval (box) kernels.
+///    Every applyToBox used to clone + fabs the weight tensor per call,
+///    which on deep decoders re-did the same O(|W|) work thousands of
+///    times per certification run; the cache builds |W| once and rebuilds
+///    only after an invalidate(). Linear needs no such copy: its
+///    transposed-layout kernels take |W| on the fly.
+///
+/// Invalidation contract: the owning layer bumps the generation from every
 /// path that can hand out mutable parameter access (the non-const
-/// weight()/bias() accessors and params()). Training loops re-fetch
-/// params() each step, so a stale |W| cannot survive into a subsequent
-/// verification pass.
+/// weight()/bias() accessors, weight setters and params()). Training loops
+/// re-fetch params() each step, so a stale |W| or fingerprint cannot
+/// survive into a subsequent verification pass.
 ///
-/// Thread safety: get() is safe for concurrent readers — parallel bench
-/// grid cells share Layer objects — via a double-purpose mutex that also
-/// serializes the one-time rebuild. Mutating weights while a
+/// Thread safety: get() and paramFingerprint() are safe for concurrent
+/// readers — parallel bench grid cells share Layer objects — via a mutex
+/// that also serializes the one-time rebuild. Mutating weights while a
 /// verification is in flight is not supported (that is a data race on
 /// the weight tensor itself, independent of this cache).
 ///
@@ -35,13 +43,14 @@
 
 namespace genprove {
 
-class AbsWeightCache {
+class ParamGeneration {
 public:
-  /// Mark the cached |W| stale; cheap, called from parameter accessors.
+  /// Mark everything derived from the parameters stale; cheap, called
+  /// from parameter accessors.
   void invalidate() { Version.fetch_add(1, std::memory_order_relaxed); }
 
   /// Explicit generation counter: advances on every invalidate(), so any
-  /// derived artifact (the memoized |W|, a parameter fingerprint, a
+  /// derived artifact (a memoized |W|, a parameter fingerprint, a
   /// propagation-cache key) can detect that the weights were mutated
   /// since it was built. Never 0 — derived caches can use 0 as "never
   /// built".
@@ -49,52 +58,11 @@ public:
     return Version.load(std::memory_order_acquire);
   }
 
-  /// |W| for the given weight tensor, rebuilt only when stale. The
-  /// reference stays valid until the next invalidate()+get() pair.
-  const Tensor &get(const Tensor &W) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    // Snapshot the version before cloning: an invalidate() racing with
-    // the rebuild leaves BuiltVersion behind, forcing the next get() to
-    // rebuild again rather than serving a half-stale |W|.
-    const uint64_t V = Version.load(std::memory_order_acquire);
-    if (BuiltVersion != V) {
-      Abs = W.clone();
-      double *D = Abs.data();
-      for (int64_t I = 0; I < Abs.numel(); ++I)
-        D[I] = std::fabs(D[I]);
-      BuiltVersion = V;
-    }
-    return Abs;
-  }
-
-  /// W^T ([In, Out] from the layer's [Out, In] weight), memoized under the
-  /// same staleness contract as get(). The fused affine->ReLU kernels
-  /// consume the transposed layout: with W^T the output dimension is the
-  /// contiguous inner axis, so the per-output ascending-k accumulator
-  /// chains vectorize across outputs (the [Out, In] dot-product form
-  /// defeats the vectorizer under strict FP semantics).
-  const Tensor &getTrans(const Tensor &W) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    const uint64_t V = Version.load(std::memory_order_acquire);
-    if (TransVersion != V) {
-      const int64_t N = W.dim(0), K = W.dim(1);
-      Trans = Tensor({K, N});
-      const double *Wd = W.data();
-      double *Td = Trans.data();
-      for (int64_t I = 0; I < N; ++I)
-        for (int64_t J = 0; J < K; ++J)
-          Td[J * N + I] = Wd[I * K + J];
-      TransVersion = V;
-    }
-    return Trans;
-  }
-
   /// Memoized FNV-1a fingerprint over the bit patterns of the given
   /// parameter tensors, seeded with \p Seed (the layer's structural
-  /// hash). Rebuilt only when the generation has advanced — the same
-  /// staleness contract as get(), so a weight mutation through any
-  /// mutable accessor is guaranteed to change the fingerprint the
-  /// propagation cache keys on.
+  /// hash). Rebuilt only when the generation has advanced, so a weight
+  /// mutation through any mutable accessor is guaranteed to change the
+  /// fingerprint the propagation cache keys on.
   uint64_t paramFingerprint(uint64_t Seed,
                             std::initializer_list<const Tensor *> Ts) const {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -114,16 +82,39 @@ public:
     return Fp;
   }
 
-private:
+protected:
   std::atomic<uint64_t> Version{1};
   mutable std::mutex Mu;
-  mutable Tensor Abs;
-  mutable uint64_t BuiltVersion = 0;
-  mutable Tensor Trans;
-  mutable uint64_t TransVersion = 0;
+
+private:
   mutable uint64_t Fp = 0;
   mutable uint64_t FpVersion = 0;
   mutable uint64_t FpSeed = 0;
+};
+
+class AbsWeightCache : public ParamGeneration {
+public:
+  /// |W| for the given weight tensor, rebuilt only when stale. The
+  /// reference stays valid until the next invalidate()+get() pair.
+  const Tensor &get(const Tensor &W) const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    // Snapshot the version before cloning: an invalidate() racing with
+    // the rebuild leaves BuiltVersion behind, forcing the next get() to
+    // rebuild again rather than serving a half-stale |W|.
+    const uint64_t V = Version.load(std::memory_order_acquire);
+    if (BuiltVersion != V) {
+      Abs = W.clone();
+      double *D = Abs.data();
+      for (int64_t I = 0; I < Abs.numel(); ++I)
+        D[I] = std::fabs(D[I]);
+      BuiltVersion = V;
+    }
+    return Abs;
+  }
+
+private:
+  mutable Tensor Abs;
+  mutable uint64_t BuiltVersion = 0;
 };
 
 } // namespace genprove

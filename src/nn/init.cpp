@@ -17,8 +17,12 @@ void kaimingInit(Sequential &Network, Rng &Generator) {
     case Layer::Kind::Linear: {
       auto &Lin = static_cast<Linear &>(L);
       const double Std = std::sqrt(2.0 / static_cast<double>(Lin.inFeatures()));
-      for (int64_t J = 0; J < Lin.weight().numel(); ++J)
-        Lin.weight()[J] = Generator.normal(0.0, Std);
+      // Drawn in the [Out, In] order, so a seed gives the same weights
+      // whatever layout the layer stores.
+      Tensor W({Lin.outFeatures(), Lin.inFeatures()});
+      for (int64_t J = 0; J < W.numel(); ++J)
+        W[J] = Generator.normal(0.0, Std);
+      Lin.setWeight(W);
       Lin.bias().zero();
       break;
     }

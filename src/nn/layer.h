@@ -95,9 +95,10 @@ public:
   /// output radius is inflated by a rigorous bound on the accumulated
   /// rounding error so [Center' +- Radius'] contains the exact interval
   /// image — and any round-to-nearest forward pass through this layer of a
-  /// point in the input box. Implemented once on the base class in terms
-  /// of applyToBox()/accumulationDepth().
-  void applyToBoxSound(Tensor &Center, Tensor &Radius) const;
+  /// point in the input box. The base class implements it in terms of
+  /// applyToBox()/accumulationDepth(); Linear overrides it with a one-pass
+  /// kernel that is bit-identical to this composition.
+  virtual void applyToBoxSound(Tensor &Center, Tensor &Radius) const;
 
   /// Learnable parameters (empty for shape/activation layers).
   virtual std::vector<Param> params() { return {}; }
@@ -107,8 +108,8 @@ public:
   /// fingerprints produce bit-identical abstract transformers, which is
   /// what the propagation cache keys on. Parameterless layers hash their
   /// kind and description; parameterized layers memoize the hash against
-  /// their AbsWeightCache generation, so any weight mutation through a
-  /// mutable accessor is guaranteed to change the fingerprint.
+  /// their ParamGeneration, so any weight mutation through a mutable
+  /// accessor or setter is guaranteed to change the fingerprint.
   virtual uint64_t fingerprint() const;
 
   /// Output activation shape (including batch dim) for a given input shape.

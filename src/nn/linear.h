@@ -9,6 +9,15 @@
 namespace genprove {
 
 /// Fully connected layer: y = x W^T + b with W of shape [Out, In].
+///
+/// The layer stores the weight once, transposed: W^T [In, Out]. With the
+/// output dimension contiguous, every transformer (forward/backward, the
+/// point maps and both box maps) runs as independent per-output
+/// ascending-k accumulation chains that vectorize across outputs, and is
+/// bit-identical to the [Out, In] dot-product form (see the kernel
+/// contracts in tensor/ops.h). |W| is taken on the fly, so no second copy
+/// of the weight is ever resident. The [Out, In] view exists only at the
+/// boundary: setWeight()/weight(), serialization and initialization.
 class Linear : public Layer {
 public:
   Linear(int64_t InFeatures, int64_t OutFeatures);
@@ -18,43 +27,42 @@ public:
   Tensor applyAffine(const Tensor &Points) const override;
   Tensor applyLinear(const Tensor &Points) const override;
   void applyToBox(Tensor &Center, Tensor &Radius) const override;
+  void applyToBoxSound(Tensor &Center, Tensor &Radius) const override;
   int64_t accumulationDepth() const override { return InFeatures + 1; }
   std::vector<Param> params() override;
   Shape outputShape(const Shape &InputShape) const override;
   std::string describe() const override;
   uint64_t fingerprint() const override {
     // Structural seed from the base hash (kind + description), parameter
-    // bits memoized against the AbsWeightCache generation.
-    return AbsCache.paramFingerprint(Layer::fingerprint(), {&Weight, &Bias});
+    // bits memoized against the parameter generation.
+    return Generation.paramFingerprint(Layer::fingerprint(),
+                                       {&WeightT, &Bias});
   }
 
   int64_t inFeatures() const { return InFeatures; }
   int64_t outFeatures() const { return OutFeatures; }
-  // Mutable parameter access invalidates the memoized |W| (see
+  /// The weight in the [Out, In] layout, as a fresh copy. Const so that
+  /// `weight() = W` fails to compile instead of assigning a temporary.
+  const Tensor weight() const;
+  /// Replace the weight from the [Out, In] layout.
+  void setWeight(const Tensor &W);
+  // Mutable parameter access advances the generation (see
   // nn/abs_cache.h for the contract).
-  Tensor &weight() {
-    AbsCache.invalidate();
-    return Weight;
-  }
   Tensor &bias() {
-    AbsCache.invalidate();
+    Generation.invalidate();
     return Bias;
   }
-  const Tensor &weight() const { return Weight; }
   const Tensor &bias() const { return Bias; }
-  /// Memoized W^T for the fused affine->ReLU kernels (see
-  /// AbsWeightCache::getTrans for why they want the transposed layout).
-  const Tensor &transposedWeight() const { return AbsCache.getTrans(Weight); }
 
 private:
   int64_t InFeatures;
   int64_t OutFeatures;
-  Tensor Weight;     // [Out, In]
-  Tensor Bias;       // [Out]
-  Tensor GradWeight; // [Out, In]
-  Tensor GradBias;   // [Out]
+  Tensor WeightT;     // [In, Out]
+  Tensor Bias;        // [Out]
+  Tensor GradWeightT; // [In, Out]
+  Tensor GradBias;    // [Out]
   Tensor CachedInput;
-  AbsWeightCache AbsCache;
+  ParamGeneration Generation;
 };
 
 } // namespace genprove

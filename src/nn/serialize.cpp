@@ -9,6 +9,7 @@
 #include "src/nn/reshape.h"
 
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 
 namespace genprove {
@@ -22,16 +23,6 @@ void writeU64(std::FILE *F, uint64_t V) { std::fwrite(&V, sizeof(V), 1, F); }
 void writeI64(std::FILE *F, int64_t V) { std::fwrite(&V, sizeof(V), 1, F); }
 void writeU32(std::FILE *F, uint32_t V) { std::fwrite(&V, sizeof(V), 1, F); }
 
-bool readU64(std::FILE *F, uint64_t &V) {
-  return std::fread(&V, sizeof(V), 1, F) == 1;
-}
-bool readI64(std::FILE *F, int64_t &V) {
-  return std::fread(&V, sizeof(V), 1, F) == 1;
-}
-bool readU32(std::FILE *F, uint32_t &V) {
-  return std::fread(&V, sizeof(V), 1, F) == 1;
-}
-
 void writeTensor(std::FILE *F, const Tensor &T) {
   writeU64(F, T.rank());
   for (size_t I = 0; I < T.rank(); ++I)
@@ -39,21 +30,54 @@ void writeTensor(std::FILE *F, const Tensor &T) {
   std::fwrite(T.data(), sizeof(double), static_cast<size_t>(T.numel()), F);
 }
 
-bool readTensor(std::FILE *F, Tensor &T) {
-  uint64_t Rank = 0;
-  if (!readU64(F, Rank) || Rank > 8)
-    return false;
-  std::vector<int64_t> Dims(Rank);
-  for (auto &D : Dims)
-    if (!readI64(F, D))
+/// Read side of the format, bounded by the file size: a layer header is
+/// checked against the bytes left in the file before the layer (and its
+/// parameter tensors) is allocated, and a stored tensor must have exactly
+/// the shape its layer header implies. A malformed or truncated file
+/// therefore fails cleanly instead of throwing from an allocation or
+/// dying later in a kernel shape check.
+class Reader {
+public:
+  explicit Reader(std::FILE *F) : F(F) {
+    if (std::fseek(F, 0, SEEK_END) == 0)
+      Size = std::ftell(F);
+    std::rewind(F);
+  }
+
+  bool u64(uint64_t &V) { return std::fread(&V, sizeof(V), 1, F) == 1; }
+  bool i64(int64_t &V) { return std::fread(&V, sizeof(V), 1, F) == 1; }
+  bool u32(uint32_t &V) { return std::fread(&V, sizeof(V), 1, F) == 1; }
+
+  /// True when every dim is positive and a tensor of that shape fits in
+  /// what is left of the file.
+  bool fits(std::initializer_list<int64_t> Dims) const {
+    int64_t Count = 1;
+    for (const int64_t D : Dims)
+      if (D <= 0 || __builtin_mul_overflow(Count, D, &Count))
+        return false;
+    const long Left = Size - std::ftell(F);
+    return Left >= 0 &&
+           Count <= static_cast<int64_t>(Left / sizeof(double));
+  }
+
+  /// Read a tensor whose stored shape must equal \p T's shape, into T.
+  bool tensorInto(Tensor &T) {
+    uint64_t Rank = 0;
+    if (!u64(Rank) || Rank != T.rank())
       return false;
-  Tensor Out{Shape(Dims)};
-  const size_t N = static_cast<size_t>(Out.numel());
-  if (std::fread(Out.data(), sizeof(double), N, F) != N)
-    return false;
-  T = std::move(Out);
-  return true;
-}
+    for (size_t I = 0; I < Rank; ++I) {
+      int64_t D = 0;
+      if (!i64(D) || D != T.dim(static_cast<int>(I)))
+        return false;
+    }
+    const size_t N = static_cast<size_t>(T.numel());
+    return std::fread(T.data(), sizeof(double), N, F) == N;
+  }
+
+private:
+  std::FILE *F;
+  long Size = 0;
+};
 
 } // namespace
 
@@ -125,47 +149,50 @@ std::optional<Sequential> loadNetwork(const std::string &Path) {
     std::fclose(F);
     return std::nullopt;
   };
+  Reader R(F);
   uint64_t Mg = 0;
   uint32_t Ver = 0;
   uint64_t NumLayers = 0;
-  if (!readU64(F, Mg) || Mg != Magic || !readU32(F, Ver) || Ver != Version ||
-      !readU64(F, NumLayers) || NumLayers > 1024)
+  if (!R.u64(Mg) || Mg != Magic || !R.u32(Ver) || Ver != Version ||
+      !R.u64(NumLayers) || NumLayers > 1024)
     return Fail();
 
   Sequential Net;
   for (uint64_t I = 0; I < NumLayers; ++I) {
     uint32_t KindRaw = 0;
-    if (!readU32(F, KindRaw))
+    if (!R.u32(KindRaw))
       return Fail();
     switch (static_cast<Layer::Kind>(KindRaw)) {
     case Layer::Kind::Linear: {
       int64_t In = 0, Out = 0;
-      if (!readI64(F, In) || !readI64(F, Out))
+      if (!R.i64(In) || !R.i64(Out) || !R.fits({Out, In}))
         return Fail();
       auto L = std::make_unique<Linear>(In, Out);
-      if (!readTensor(F, L->weight()) || !readTensor(F, L->bias()))
+      Tensor W({Out, In}); // the file keeps the [Out, In] layout
+      if (!R.tensorInto(W) || !R.tensorInto(L->bias()))
         return Fail();
+      L->setWeight(W);
       Net.add(std::move(L));
       break;
     }
     case Layer::Kind::Conv2d: {
       int64_t Ic = 0, Oc = 0, K = 0, S = 0, P = 0;
-      if (!readI64(F, Ic) || !readI64(F, Oc) || !readI64(F, K) ||
-          !readI64(F, S) || !readI64(F, P))
+      if (!R.i64(Ic) || !R.i64(Oc) || !R.i64(K) || !R.i64(S) || !R.i64(P) ||
+          S <= 0 || P < 0 || !R.fits({Oc, Ic, K, K}))
         return Fail();
       auto L = std::make_unique<Conv2d>(Ic, Oc, K, S, P);
-      if (!readTensor(F, L->weight()) || !readTensor(F, L->bias()))
+      if (!R.tensorInto(L->weight()) || !R.tensorInto(L->bias()))
         return Fail();
       Net.add(std::move(L));
       break;
     }
     case Layer::Kind::ConvTranspose2d: {
       int64_t Ic = 0, Oc = 0, K = 0, S = 0, P = 0, Op = 0;
-      if (!readI64(F, Ic) || !readI64(F, Oc) || !readI64(F, K) ||
-          !readI64(F, S) || !readI64(F, P) || !readI64(F, Op))
+      if (!R.i64(Ic) || !R.i64(Oc) || !R.i64(K) || !R.i64(S) || !R.i64(P) ||
+          !R.i64(Op) || S <= 0 || P < 0 || Op < 0 || !R.fits({Ic, Oc, K, K}))
         return Fail();
       auto L = std::make_unique<ConvTranspose2d>(Ic, Oc, K, S, P, Op);
-      if (!readTensor(F, L->weight()) || !readTensor(F, L->bias()))
+      if (!R.tensorInto(L->weight()) || !R.tensorInto(L->bias()))
         return Fail();
       Net.add(std::move(L));
       break;
@@ -178,7 +205,7 @@ std::optional<Sequential> loadNetwork(const std::string &Path) {
       break;
     case Layer::Kind::Reshape: {
       int64_t C = 0, H = 0, W = 0;
-      if (!readI64(F, C) || !readI64(F, H) || !readI64(F, W))
+      if (!R.i64(C) || !R.i64(H) || !R.i64(W) || C <= 0 || H <= 0 || W <= 0)
         return Fail();
       Net.add(std::make_unique<Reshape>(C, H, W));
       break;

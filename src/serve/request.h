@@ -9,8 +9,7 @@
 ///    "start":[...],"end":[...],"specs":["argmax:0:3"],
 ///    "deadline_ms":500,"budget_mb":64,"p":0.02,"k":100,"threshold":250,
 ///    "deterministic":false,"sound":true,"arcsine":false,
-///    "fuse":false,"fast_screen":false,
-///    "inject":"crash","inject_ms":200}
+///    "fast_screen":false,"inject":"crash","inject_ms":200}
 ///   {"type":"stats"}   live counters + Prometheus exposition
 ///   {"type":"ping"}    liveness probe
 ///
@@ -27,7 +26,9 @@
 ///    "detail":"..."}
 ///
 /// Doubles are %.17g both ways, so the bounds a client reads are
-/// bit-exactly the bounds the engine computed.
+/// bit-exactly the bounds the engine computed. Unknown request fields are
+/// ignored; in particular the retired "fuse" flag is still accepted and
+/// has no effect (it only ever selected bit-identical kernels).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,9 +64,6 @@ struct ServeRequest {
   bool Deterministic = false;
   bool Sound = false;
   bool Arcsine = false;
-  /// Fused affine->ReLU kernel chains (bit-identical to unfused; wire
-  /// field "fuse").
-  bool Fuse = false;
   /// Two-tier precision fast path (wire field "fast_screen"): float32
   /// screening decides clear regions, borderline regions re-run under the
   /// sound double tier. Reported bounds always come from the sound tier.
@@ -158,7 +156,6 @@ struct ServeWorkerSpec {
   int64_t NodeThreshold = 250;
   bool Arcsine = false;
   bool Sound = false; ///< enable directed rounding in the worker process
-  bool Fuse = false;  ///< fused affine->ReLU kernel chains
   /// Two-tier screening requested; applied only when the worker's plan
   /// rung is Screening (escalated retries run the full sound path).
   bool FastScreen = false;

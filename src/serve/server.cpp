@@ -119,10 +119,9 @@ std::string coalesceKeyFor(const ServeRequest &Req) {
   //   * sound — the requested rounding mode (process-scoped today, but a
   //     request that asked for sound bounds must never share a state with
   //     one that did not);
-  //   * fuse / fast_screen — kernel-fusion and two-tier screening change
-  //     the propagation path (fused runs are bit-identical but use a
-  //     distinct cache salt; screened requests never coalesce at all, see
-  //     the gate in runVerify);
+  //   * fast_screen — two-tier screening changes the propagation path
+  //     (screened requests never coalesce at all, see the gate in
+  //     runVerify);
   //   * the pool's thread count — bit-identity makes it result-neutral,
   //     but keying on it keeps batches from straddling an operator's
   //     mid-run setThreads() resize.
@@ -133,11 +132,11 @@ std::string coalesceKeyFor(const ServeRequest &Req) {
   // here: coalescing requires DeadlineMs <= 0, and the batched engine
   // runs without resilience by construction.
   char Buf[320];
-  std::snprintf(Buf, sizeof(Buf), "|%s|%.17g|%.17g|%lld|%d|%lld|%d|%d|%d|%lld",
+  std::snprintf(Buf, sizeof(Buf), "|%s|%.17g|%.17g|%lld|%d|%lld|%d|%d|%lld",
                 Req.InputShape.c_str(), Req.RelaxPercent, Req.ClusterK,
                 static_cast<long long>(Req.NodeThreshold),
                 Req.Arcsine ? 1 : 0, static_cast<long long>(Req.BudgetMb),
-                Req.Sound ? 1 : 0, Req.Fuse ? 1 : 0, Req.FastScreen ? 1 : 0,
+                Req.Sound ? 1 : 0, Req.FastScreen ? 1 : 0,
                 static_cast<long long>(ThreadPool::global().threads()));
   return Req.Net + Buf;
 }
@@ -299,7 +298,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
       Req.Arcsine ? ParamDistribution::Arcsine : ParamDistribution::Uniform;
   Conf.MemoryBudgetBytes = Ticket.budgetBytes();
   Conf.Resilience = Qos.Resilience;
-  Conf.FuseRelu = Req.Fuse;
   Conf.FastScreen = Req.FastScreen;
 
   const double RunStart = nowSeconds();
@@ -347,7 +345,6 @@ ServeResponse Server::runVerify(const ServeRequest &Req) {
       Spec.NodeThreshold = Req.NodeThreshold;
       Spec.Arcsine = Req.Arcsine;
       Spec.Sound = Cfg.SoundMode;
-      Spec.Fuse = Req.Fuse;
       Spec.FastScreen = Req.FastScreen;
       Spec.HeartbeatMs =
           std::clamp(Cfg.HeartbeatTimeoutSeconds * 250.0, 10.0, 250.0);
@@ -551,7 +548,6 @@ void Server::runCoalescedBatch(
   Conf.Distribution =
       Lead.Arcsine ? ParamDistribution::Arcsine : ParamDistribution::Uniform;
   Conf.MemoryBudgetBytes = Ticket.budgetBytes();
-  Conf.FuseRelu = Lead.Fuse; // keyed, so uniform across the batch
   // No resilience: batching needs the abort-on-OOM engine (a resilient
   // run's degradations could couple queries). An aborted or degraded
   // member is declined back to the supervised path below.

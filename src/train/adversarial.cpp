@@ -118,7 +118,7 @@ IbpBounds ibpForwardImpl(Sequential &Network, const Tensor &LoIn,
     case Layer::Kind::Linear: {
       auto &Lin = static_cast<Linear &>(L);
       Tensor Pos, Neg;
-      splitWeight(Lin.weight(), Pos, Neg);
+      splitWeight(Lin.weight(), Pos, Neg); // [Out, In]
       Tensor NewLo = matmulTransB(Lo, Pos);
       NewLo.addInPlace(matmulTransB(Hi, Neg));
       Tensor NewHi = matmulTransB(Hi, Pos);
@@ -170,18 +170,23 @@ void ibpBackward(Sequential &Network, const std::vector<IbpCache> &Caches,
     switch (L.kind()) {
     case Layer::Kind::Linear: {
       auto &Lin = static_cast<Linear &>(L);
+      const Tensor W = Lin.weight(); // [Out, In]
       Tensor Pos, Neg;
-      splitWeight(Lin.weight(), Pos, Neg);
+      splitWeight(W, Pos, Neg);
       auto Params = Lin.params();
-      Tensor &GradW = *Params[0].Grad;
+      Tensor &GradW = *Params[0].Grad; // the layer's [In, Out] layout
       Tensor &GradB = *Params[1].Grad;
       // dW accumulates through whichever branch (pos/neg) the entry uses.
       Tensor GwPos = matmulTransA(DLo, Cache.LoIn); // lo' <- pos * lo
       GwPos.addInPlace(matmulTransA(DHi, Cache.HiIn));
       Tensor GwNeg = matmulTransA(DLo, Cache.HiIn);
       GwNeg.addInPlace(matmulTransA(DHi, Cache.LoIn));
-      for (int64_t I = 0; I < GradW.numel(); ++I)
-        GradW[I] += Lin.weight()[I] >= 0.0 ? GwPos[I] : GwNeg[I];
+      const int64_t Out = Lin.outFeatures(), In = Lin.inFeatures();
+      for (int64_t O = 0; O < Out; ++O)
+        for (int64_t J = 0; J < In; ++J) {
+          const int64_t I = O * In + J;
+          GradW[J * Out + O] += W[I] >= 0.0 ? GwPos[I] : GwNeg[I];
+        }
       for (int64_t I = 0; I < DLo.dim(0); ++I)
         for (int64_t J = 0; J < DLo.dim(1); ++J)
           GradB[J] += DLo.at(I, J) + DHi.at(I, J);

@@ -14,7 +14,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims) {
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.6);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.6));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.3);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -101,7 +101,7 @@ TEST(Tube, CertifiedFractionIsSoundLowerBound) {
   {
     // A classifier with a huge margin so certification succeeds.
     auto L = std::make_unique<Linear>(3, 2);
-    L->weight() = Tensor({2, 3}, {1.0, 1.0, 1.0, -1.0, -1.0, -1.0});
+    L->setWeight(Tensor({2, 3}, {1.0, 1.0, 1.0, -1.0, -1.0, -1.0}));
     L->bias() = Tensor({2}, {100.0, -100.0});
     Classifier.add(std::move(L));
   }

@@ -13,7 +13,7 @@
 ///  * PropagationCache: warm starts must never change bounds (only skip
 ///    work), entries must stay within the byte budget via LRU eviction,
 ///    and a weight mutation through any mutable accessor must invalidate
-///    the keys (the AbsWeightCache generation regression).
+///    the keys (the parameter-generation regression).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +41,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims,
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, Scale);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, Scale));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.4);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -282,10 +282,10 @@ TEST(PropagationCacheTest, PrefixSharedPipelinesWarmStartMidNetwork) {
   Rng R(17);
   Sequential Shared = makeRandomMlp(R, {4, 12, 8});
   auto HeadA = std::make_unique<Linear>(8, 3);
-  HeadA->weight() = Tensor::randn({3, 8}, R, 0.8);
+  HeadA->setWeight(Tensor::randn({3, 8}, R, 0.8));
   HeadA->bias() = Tensor::randn({3}, R, 0.4);
   auto HeadB = std::make_unique<Linear>(8, 3);
-  HeadB->weight() = Tensor::randn({3, 8}, R, 0.8);
+  HeadB->setWeight(Tensor::randn({3, 8}, R, 0.8));
   HeadB->bias() = Tensor::randn({3}, R, 0.4);
 
   std::vector<const Layer *> PipeA = Shared.view();
@@ -316,14 +316,14 @@ TEST(PropagationCacheTest, PrefixSharedPipelinesWarmStartMidNetwork) {
   EXPECT_EQ(WarmB.Upper, ColdB.Upper);
 }
 
-/// The AbsWeightCache generation regression: mutating a weight through a
-/// mutable accessor must advance the generation, change the layer
+/// The parameter-generation regression: mutating a weight through a
+/// setter must advance the generation, change the layer
 /// fingerprint, and therefore miss the propagation cache instead of
 /// serving bounds for the stale parameters.
 TEST(PropagationCacheTest, WeightMutationInvalidatesCachedStates) {
   Rng R(19);
   auto L = std::make_unique<Linear>(3, 2);
-  L->weight() = Tensor::randn({2, 3}, R, 0.8);
+  L->setWeight(Tensor::randn({2, 3}, R, 0.8));
   L->bias() = Tensor::randn({2}, R, 0.4);
   Linear *Raw = L.get();
   Sequential Net;
@@ -338,10 +338,15 @@ TEST(PropagationCacheTest, WeightMutationInvalidatesCachedStates) {
   CacheScope Cache(32u << 20);
   (void)Analyzer.propagateSegment(Net.view(), Shape({1, 3}), Start, End);
 
-  // Mutate through the mutable accessor: generation and fingerprint move.
-  Raw->weight()[0] += 0.25;
+  // Mutate through the setter: generation and fingerprint move.
+  Tensor W = Raw->weight();
+  W[0] += 0.25;
+  Raw->setWeight(W);
   const uint64_t FpAfter = Raw->fingerprint();
   EXPECT_NE(FpBefore, FpAfter);
+  // So does a write through params(), the path optimizers take.
+  (*Raw->params()[0].Value)[1] -= 0.5;
+  EXPECT_NE(Raw->fingerprint(), FpAfter);
 
   const auto BeforeRerun = PropagationCache::global().snapshot();
   const PropagatedState Fresh =

@@ -14,7 +14,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims) {
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.7);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.7));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.3);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -100,7 +100,7 @@ TEST(Chain, ArcsineWeightsConcentrateAtEndLegs) {
   // mass than the middle legs.
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 1);
-  L->weight() = Tensor({1, 1}, {1.0});
+  L->setWeight(Tensor({1, 1}, {1.0}));
   L->bias() = Tensor({1}, {0.0});
   Net.add(std::move(L));
 

@@ -3,11 +3,13 @@
 /// \file
 /// The fused-kernel and two-tier-screen contracts (docs/PERFORMANCE.md):
 ///
-///  * --fuse: every analysis path (engine, box, zonotope, deepzono,
-///    hybrid) must return bounds bit-identical to the unfused path — at
-///    any thread count, in both rounding modes. EXPECT_EQ on doubles, not
-///    a tolerance: the fused kernels keep the exact per-element
-///    ascending-k accumulation order of the unfused pair.
+///  * The Linear weight layout: Linear stores W^T and runs every
+///    transformer through one-pass (fused) kernels on it. Each transformer,
+///    and every analysis path built on them (engine, box, zonotope,
+///    deepzono, hybrid), must be bit-identical to the unfused [Out, In]
+///    dot-product form — at any thread count, in both rounding modes. Exact
+///    equality on doubles, not a tolerance: the kernels keep the exact
+///    per-element ascending-k accumulation order of the dot form.
 ///
 ///  * --fast-screen: the float32 screen only *classifies* pieces; every
 ///    reported bound comes from sound arithmetic (CDF masses for proven
@@ -34,13 +36,17 @@
 #include "src/nn/reshape.h"
 #include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
+#include "src/serve/request.h"
 #include "src/serve/server.h"
+#include "src/tensor/ops.h"
 #include "src/util/fp.h"
 #include "src/util/rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -53,7 +59,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims,
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, Scale);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, Scale));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.4);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -71,12 +77,157 @@ struct PoolScope {
 };
 
 // ---------------------------------------------------------------------------
-// Fused == unfused, bit for bit.
+// Fused (one-pass, transposed-layout) Linear == the unfused dot form, bit
+// for bit.
 // ---------------------------------------------------------------------------
+
+/// The [Out, In] dot-product form of a Linear layer: every transformer as
+/// separate matmulTransB calls on W (and on a precomputed |W| for radii),
+/// a separate bias pass, and the base-class sound box transform (two
+/// applyToBox calls, the bias image taken from a zero-input box). Linear
+/// must agree with it bit for bit: its one-pass kernels on the stored W^T
+/// keep every output's ascending-k accumulation chain.
+class DotFormLinear : public Layer {
+public:
+  explicit DotFormLinear(const Linear &L)
+      : Layer(Kind::Linear), W(L.weight()), AbsW(W.clone()),
+        Bias(L.bias().clone()) {
+    for (int64_t I = 0; I < AbsW.numel(); ++I)
+      AbsW[I] = std::fabs(AbsW[I]);
+  }
+
+  Tensor forward(const Tensor &Input) override { return applyAffine(Input); }
+  Tensor backward(const Tensor &) override {
+    fatalError("DotFormLinear is inference-only");
+  }
+  Tensor applyAffine(const Tensor &Points) const override {
+    Tensor Out = matmulTransB(Points, W);
+    for (int64_t I = 0; I < Out.dim(0); ++I)
+      for (int64_t J = 0; J < Out.dim(1); ++J)
+        Out.at(I, J) += Bias[J];
+    return Out;
+  }
+  Tensor applyLinear(const Tensor &Points) const override {
+    return matmulTransB(Points, W);
+  }
+  void applyToBox(Tensor &Center, Tensor &Radius) const override {
+    Center = applyAffine(Center);
+    Radius = matmulTransB(Radius, AbsW);
+  }
+  int64_t accumulationDepth() const override { return W.dim(1) + 1; }
+  Shape outputShape(const Shape &InputShape) const override {
+    return Shape({InputShape.dim(0), W.dim(0)});
+  }
+  std::string describe() const override { return "DotFormLinear"; }
+
+private:
+  Tensor W;    // [Out, In]
+  Tensor AbsW; // [Out, In]
+  Tensor Bias; // [Out]
+};
+
+/// \p Net with every Linear layer replaced by its dot form.
+Sequential dotForm(const Sequential &Net) {
+  Sequential Ref;
+  for (size_t I = 0; I < Net.size(); ++I) {
+    const Layer &L = Net.layer(I);
+    check(L.kind() == Layer::Kind::Linear || L.kind() == Layer::Kind::ReLU,
+          "dotForm handles Linear/ReLU networks");
+    if (L.kind() == Layer::Kind::Linear)
+      Ref.add(std::make_unique<DotFormLinear>(static_cast<const Linear &>(L)));
+    else
+      Ref.add(std::make_unique<ReLU>());
+  }
+  return Ref;
+}
+
+/// Bitwise tensor equality: tells +0.0 from -0.0, unlike EXPECT_EQ.
+void expectSameBits(const Tensor &A, const Tensor &B, const char *What) {
+  ASSERT_EQ(A.shape().dims(), B.shape().dims()) << What;
+  for (int64_t I = 0; I < A.numel(); ++I) {
+    const double X = A[I], Y = B[I];
+    EXPECT_EQ(std::memcmp(&X, &Y, sizeof(double)), 0)
+        << What << "[" << I << "]: " << X << " vs " << Y;
+  }
+}
+
+/// The engine tests compare two networks whose layers hash alike (the
+/// dot form hashes only its description), so they keep the propagation
+/// cache out of the comparison.
+GenProveConfig uncachedConfig() {
+  GenProveConfig Config;
+  Config.UseCache = false;
+  return Config;
+}
 
 /// (threads, sound rounding) grid shared by the bit-identity tests.
 class FusedBitIdentity
     : public ::testing::TestWithParam<std::tuple<int64_t, bool>> {};
+
+TEST_P(FusedBitIdentity, LinearTransformersMatchDotForm) {
+  const int64_t Threads = std::get<0>(GetParam());
+  const bool Sound = std::get<1>(GetParam());
+  PoolScope Pool(Threads);
+  SoundRoundingScope Rounding(Sound);
+
+  constexpr int64_t Rows = 6, In = 7, Out = 5;
+  Rng R(59);
+  Tensor W = Tensor::randn({Out, In}, R, 0.8);
+  W[3] = -0.0;
+  W[8] = 0.0;
+  // Signed-zero inputs: single +-0.0 entries, and a row of -0.0 whose dot
+  // products are sums of signed zeros.
+  Tensor X = Tensor::randn({Rows, In}, R);
+  X.at(0, 0) = 0.0;
+  X.at(0, 1) = -0.0;
+  for (int64_t J = 0; J < In; ++J)
+    X.at(1, J) = -0.0;
+  Tensor Rad = Tensor::rand({Rows, In}, R, 0.0, 0.2);
+  Rad.at(2, 3) = 0.0;
+  Tensor Dy = Tensor::randn({Rows, Out}, R);
+  Dy.at(0, 0) = -0.0;
+
+  for (const bool ZeroBias : {false, true}) {
+    SCOPED_TRACE(ZeroBias ? "zero bias" : "random bias");
+    Linear L(In, Out);
+    L.setWeight(W);
+    L.bias() = ZeroBias ? Tensor({Out}) : Tensor::randn({Out}, R, 0.4);
+    const DotFormLinear Ref(L);
+
+    expectSameBits(L.applyAffine(X), Ref.applyAffine(X), "applyAffine");
+    expectSameBits(L.applyLinear(X), Ref.applyLinear(X), "applyLinear");
+    {
+      Tensor C1 = X, R1 = Rad, C2 = X, R2 = Rad;
+      L.applyToBox(C1, R1);
+      Ref.applyToBox(C2, R2);
+      expectSameBits(C1, C2, "applyToBox center");
+      expectSameBits(R1, R2, "applyToBox radius");
+    }
+    {
+      Tensor C1 = X, R1 = Rad, C2 = X, R2 = Rad;
+      L.applyToBoxSound(C1, R1);
+      Ref.applyToBoxSound(C2, R2);
+      expectSameBits(C1, C2, "applyToBoxSound center");
+      expectSameBits(R1, R2, "applyToBoxSound radius");
+    }
+
+    // Training: the forward pass is the affine map, and backward yields
+    // dX = dY W and dW = dY^T X exactly as the [Out, In] GEMMs would, the
+    // weight gradient held in the layer's [In, Out] storage layout.
+    for (const Param &P : L.params())
+      P.Grad->zero();
+    expectSameBits(L.forward(X), Ref.applyAffine(X), "forward");
+    expectSameBits(L.backward(Dy), matmul(Dy, W), "backward dX");
+    const Tensor Dw = matmulTransA(Dy, X); // [Out, In]
+    const Tensor GradWT = L.params()[0].Grad->clone(); // [In, Out]
+    Tensor GradW({Out, In});
+    for (int64_t O = 0; O < Out; ++O)
+      for (int64_t J = 0; J < In; ++J)
+        GradW.at(O, J) = GradWT.at(J, O);
+    expectSameBits(GradW, Dw, "backward dW");
+    expectSameBits(L.weight(), W, "weight() round trip");
+  }
+}
 
 TEST_P(FusedBitIdentity, EngineBoundsMatchUnfused) {
   const int64_t Threads = std::get<0>(GetParam());
@@ -86,24 +237,22 @@ TEST_P(FusedBitIdentity, EngineBoundsMatchUnfused) {
 
   Rng R(61);
   Sequential Net = makeRandomMlp(R, {4, 14, 10, 3});
+  const Sequential Ref = dotForm(Net);
   const Tensor Start = Tensor::randn({1, 4}, R);
   const Tensor End = Tensor::randn({1, 4}, R);
   const std::vector<OutputSpec> Specs = {OutputSpec::argmaxWins(0, 3),
                                          OutputSpec::argmaxWins(2, 3)};
 
-  GenProveConfig Plain;
-  GenProveConfig Fused;
-  Fused.FuseRelu = true;
-  const GenProve A(Plain), B(Fused);
+  const GenProve A(uncachedConfig());
   const PropagatedState SA =
       A.propagateSegment(Net.view(), Shape({1, 4}), Start, End);
   const PropagatedState SB =
-      B.propagateSegment(Net.view(), Shape({1, 4}), Start, End);
+      A.propagateSegment(Ref.view(), Shape({1, 4}), Start, End);
   ASSERT_FALSE(SA.OutOfMemory);
   ASSERT_FALSE(SB.OutOfMemory);
   for (const OutputSpec &Spec : Specs) {
     const ProbBounds PA = A.boundsFor(SA, Spec);
-    const ProbBounds PB = B.boundsFor(SB, Spec);
+    const ProbBounds PB = A.boundsFor(SB, Spec);
     EXPECT_EQ(PA.Lower, PB.Lower);
     EXPECT_EQ(PA.Upper, PB.Upper);
   }
@@ -117,22 +266,20 @@ TEST_P(FusedBitIdentity, BatchedEngineMatchesUnfused) {
 
   Rng R(67);
   Sequential Net = makeRandomMlp(R, {3, 12, 8, 2});
+  const Sequential Ref = dotForm(Net);
   std::vector<std::pair<Tensor, Tensor>> Segments;
   for (int I = 0; I < 4; ++I)
     Segments.emplace_back(Tensor::randn({1, 3}, R), Tensor::randn({1, 3}, R));
   const OutputSpec Spec = OutputSpec::argmaxWins(0, 2);
 
-  GenProveConfig Plain;
-  GenProveConfig Fused;
-  Fused.FuseRelu = true;
-  const GenProve A(Plain), B(Fused);
+  const GenProve A(uncachedConfig());
   const auto SA = A.propagateSegmentsBatch(Net.view(), Shape({1, 3}), Segments);
-  const auto SB = B.propagateSegmentsBatch(Net.view(), Shape({1, 3}), Segments);
+  const auto SB = A.propagateSegmentsBatch(Ref.view(), Shape({1, 3}), Segments);
   ASSERT_EQ(SA.size(), SB.size());
   for (size_t I = 0; I < SA.size(); ++I) {
-    EXPECT_EQ(A.boundsFor(SA[I], Spec).Lower, B.boundsFor(SB[I], Spec).Lower)
+    EXPECT_EQ(A.boundsFor(SA[I], Spec).Lower, A.boundsFor(SB[I], Spec).Lower)
         << "segment " << I;
-    EXPECT_EQ(A.boundsFor(SA[I], Spec).Upper, B.boundsFor(SB[I], Spec).Upper)
+    EXPECT_EQ(A.boundsFor(SA[I], Spec).Upper, A.boundsFor(SB[I], Spec).Upper)
         << "segment " << I;
   }
 }
@@ -145,6 +292,7 @@ TEST_P(FusedBitIdentity, ConvexDomainsMatchUnfused) {
 
   Rng R(71);
   Sequential Net = makeRandomMlp(R, {3, 12, 8, 2});
+  const Sequential Ref = dotForm(Net);
   const Tensor Start = Tensor::randn({1, 3}, R);
   const Tensor End = Tensor::randn({1, 3}, R);
   const std::vector<OutputSpec> Specs = {OutputSpec::argmaxWins(0, 2),
@@ -154,34 +302,33 @@ TEST_P(FusedBitIdentity, ConvexDomainsMatchUnfused) {
 
   struct Domain {
     const char *Name;
-    std::function<std::vector<ConvexResult>(bool)> Run;
+    std::function<std::vector<ConvexResult>(const Sequential &)> Run;
   };
   const std::vector<Domain> Domains = {
       {"box",
-       [&](bool Fuse) {
-         return analyzeBoxMulti(Net.view(), In, Start, End, Specs, Unlimited,
-                                Fuse);
+       [&](const Sequential &N) {
+         return analyzeBoxMulti(N.view(), In, Start, End, Specs, Unlimited);
        }},
       {"zonotope",
-       [&](bool Fuse) {
-         return analyzeZonotopeMulti(Net.view(), In, Start, End, Specs,
-                                     ZonotopeKind::Zonotope, Unlimited, Fuse);
+       [&](const Sequential &N) {
+         return analyzeZonotopeMulti(N.view(), In, Start, End, Specs,
+                                     ZonotopeKind::Zonotope, Unlimited);
        }},
       {"deepzono",
-       [&](bool Fuse) {
-         return analyzeZonotopeMulti(Net.view(), In, Start, End, Specs,
-                                     ZonotopeKind::DeepZono, Unlimited, Fuse);
+       [&](const Sequential &N) {
+         return analyzeZonotopeMulti(N.view(), In, Start, End, Specs,
+                                     ZonotopeKind::DeepZono, Unlimited);
        }},
       {"hybrid",
-       [&](bool Fuse) {
-         return analyzeHybridZonotopeMulti(Net.view(), In, Start, End, Specs,
-                                           Unlimited, Fuse);
+       [&](const Sequential &N) {
+         return analyzeHybridZonotopeMulti(N.view(), In, Start, End, Specs,
+                                           Unlimited);
        }},
   };
 
   for (const Domain &D : Domains) {
-    const auto Plain = D.Run(false);
-    const auto Fused = D.Run(true);
+    const auto Fused = D.Run(Net);
+    const auto Plain = D.Run(Ref);
     ASSERT_EQ(Plain.size(), Fused.size()) << D.Name;
     for (size_t J = 0; J < Plain.size(); ++J) {
       EXPECT_EQ(Plain[J].Bounds.Lower, Fused[J].Bounds.Lower)
@@ -194,9 +341,8 @@ TEST_P(FusedBitIdentity, ConvexDomainsMatchUnfused) {
   }
 }
 
-/// Fused telemetry identity under a binding budget: the fused pair replays
-/// both layer boundaries' charges, so the OOM point (and the reported
-/// peak) cannot move across the flag.
+/// Telemetry identity under a binding budget: the layout cannot move the
+/// OOM point or the reported peak.
 TEST_P(FusedBitIdentity, ZonotopeOomPointMatchesUnfused) {
   const int64_t Threads = std::get<0>(GetParam());
   const bool Sound = std::get<1>(GetParam());
@@ -205,13 +351,14 @@ TEST_P(FusedBitIdentity, ZonotopeOomPointMatchesUnfused) {
 
   Rng R(73);
   Sequential Net = makeRandomMlp(R, {3, 24, 24, 2});
+  const Sequential Ref = dotForm(Net);
   const Tensor Start = Tensor::randn({1, 3}, R);
   const Tensor End = Tensor::randn({1, 3}, R);
   const OutputSpec Spec = OutputSpec::argmaxWins(0, 2);
   const Shape In({1, 3});
 
   // Probe the unlimited peak, then pin the budget just under it so the
-  // propagation fails partway through the pair chain.
+  // propagation fails partway through the chain.
   DeviceMemoryModel Probe(0);
   const ConvexResult Full = analyzeZonotope(Net.view(), In, Start, End, Spec,
                                             ZonotopeKind::Zonotope, Probe);
@@ -221,9 +368,9 @@ TEST_P(FusedBitIdentity, ZonotopeOomPointMatchesUnfused) {
   DeviceMemoryModel TightA(Full.PeakBytes - 1);
   DeviceMemoryModel TightB(Full.PeakBytes - 1);
   const ConvexResult Plain = analyzeZonotope(
-      Net.view(), In, Start, End, Spec, ZonotopeKind::Zonotope, TightA, false);
+      Ref.view(), In, Start, End, Spec, ZonotopeKind::Zonotope, TightA);
   const ConvexResult Fused = analyzeZonotope(
-      Net.view(), In, Start, End, Spec, ZonotopeKind::Zonotope, TightB, true);
+      Net.view(), In, Start, End, Spec, ZonotopeKind::Zonotope, TightB);
   EXPECT_EQ(Plain.Bounds.OutOfMemory, Fused.Bounds.OutOfMemory);
   EXPECT_EQ(Plain.PeakBytes, Fused.PeakBytes);
   EXPECT_EQ(Plain.Bounds.Lower, Fused.Bounds.Lower);
@@ -243,7 +390,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndRounding, FusedBitIdentity,
 TEST(ScreenClassifyTest, InsideOutsideBorderlineOnIdentity) {
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 1);
-  L->weight()[0] = 1.0;
+  L->setWeight(Tensor({1, 1}, {1.0}));
   L->bias()[0] = 0.0;
   Net.add(std::move(L));
   const ScreenPlan Plan = buildScreenPlan(Net.view());
@@ -287,7 +434,7 @@ TEST(ScreenClassifyTest, ConvPipelineIsUnsupported) {
 TEST(ScreenClassifyTest, TinyMarginStaysBorderline) {
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 1);
-  L->weight()[0] = 1.0;
+  L->setWeight(Tensor({1, 1}, {1.0}));
   L->bias()[0] = 0.0;
   Net.add(std::move(L));
   const ScreenPlan Plan = buildScreenPlan(Net.view());
@@ -346,11 +493,7 @@ TEST(ScreenedAnalysisTest, AllInsideSkipsSoundTier) {
   Rng R(83);
   Sequential Net;
   auto L = std::make_unique<Linear>(2, 2);
-  L->weight() = Tensor({2, 2});
-  L->weight()[0] = 1.0;
-  L->weight()[1] = 0.0;
-  L->weight()[2] = 0.0;
-  L->weight()[3] = 1.0;
+  L->setWeight(Tensor({2, 2}, {1.0, 0.0, 0.0, 1.0}));
   L->bias() = Tensor({2});
   L->bias()[0] = 10.0;
   L->bias()[1] = 0.0;
@@ -374,11 +517,7 @@ TEST(ScreenedAnalysisTest, AllOutsideGivesNearZeroUpper) {
   Rng R(89);
   Sequential Net;
   auto L = std::make_unique<Linear>(2, 2);
-  L->weight() = Tensor({2, 2});
-  L->weight()[0] = 1.0;
-  L->weight()[1] = 0.0;
-  L->weight()[2] = 0.0;
-  L->weight()[3] = 1.0;
+  L->setWeight(Tensor({2, 2}, {1.0, 0.0, 0.0, 1.0}));
   L->bias() = Tensor({2});
   L->bias()[0] = -10.0;
   L->bias()[1] = 0.0;
@@ -409,7 +548,7 @@ TEST(ScreenedAnalysisTest, UnsupportedPipelineCollapsesToBorderline) {
   Net.add(std::make_unique<ReLU>());
   Net.add(std::make_unique<Flatten>());
   auto L = std::make_unique<Linear>(2 * 4 * 4, 2);
-  L->weight() = Tensor::randn({2, 2 * 4 * 4}, R, 0.4);
+  L->setWeight(Tensor::randn({2, 2 * 4 * 4}, R, 0.4));
   L->bias() = Tensor::randn({2}, R, 0.2);
   Net.add(std::move(L));
 
@@ -561,7 +700,7 @@ TEST(QuantileFromBucketsTest, EdgeCases) {
 }
 
 /// Every result-affecting knob must split the serve coalescing key: two
-/// requests differing only in rounding mode, fusion, screening, budget or
+/// requests differing only in rounding mode, screening, budget or
 /// relaxation must never share one joint propagation.
 TEST(CoalesceKeyTest, ResultAffectingKnobsSplitTheKey) {
   ServeRequest Base;
@@ -578,10 +717,6 @@ TEST(CoalesceKeyTest, ResultAffectingKnobsSplitTheKey) {
   ServeRequest R1 = Base;
   R1.Sound = true;
   EXPECT_NE(coalesceKeyFor(R1), K0) << "sound missing from key";
-
-  ServeRequest R2 = Base;
-  R2.Fuse = true;
-  EXPECT_NE(coalesceKeyFor(R2), K0) << "fuse missing from key";
 
   ServeRequest R3 = Base;
   R3.FastScreen = true;
@@ -604,6 +739,17 @@ TEST(CoalesceKeyTest, ResultAffectingKnobsSplitTheKey) {
   ServeRequest R7 = Base;
   R7.Deterministic = true;
   EXPECT_EQ(coalesceKeyFor(R7), K0);
+
+  // The retired "fuse" wire flag is accepted and ignored: it must not
+  // split the key either.
+  const std::string Line =
+      "{\"type\":\"verify\",\"net\":\"zoo:mlp\",\"input_shape\":\"1x4\","
+      "\"start\":[0,0,0,0],\"end\":[1,1,1,1],\"specs\":[\"argmax:0:3\"]";
+  ServeRequest Plain, Fused;
+  ASSERT_TRUE(decodeServeRequest(Line + "}", Plain, nullptr, nullptr));
+  ASSERT_TRUE(
+      decodeServeRequest(Line + ",\"fuse\":true}", Fused, nullptr, nullptr));
+  EXPECT_EQ(coalesceKeyFor(Fused), coalesceKeyFor(Plain));
 }
 
 } // namespace

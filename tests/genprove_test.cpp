@@ -15,7 +15,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims,
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, Scale);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, Scale));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.4);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -168,7 +168,7 @@ TEST(GenProve, ArcsineDistributionShiftsBounds) {
   // Construct a 1-layer net where the spec holds exactly for t < 0.25.
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 1);
-  L->weight() = Tensor({1, 1}, {-1.0});
+  L->setWeight(Tensor({1, 1}, {-1.0}));
   L->bias() = Tensor({1}, {0.25});
   Net.add(std::move(L)); // y = 0.25 - t > 0 iff t < 0.25
 
@@ -237,7 +237,7 @@ TEST(GenProve, InputSplittingReducesPeakMemory) {
 TEST(GenProve, InputSplittingWithArcsineStaysExact) {
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 1);
-  L->weight() = Tensor({1, 1}, {-1.0});
+  L->setWeight(Tensor({1, 1}, {-1.0}));
   L->bias() = Tensor({1}, {0.25});
   Net.add(std::move(L));
   Tensor E1({1, 1}, {0.0});

@@ -72,7 +72,7 @@ TEST(GradCheck, LinearLayer) {
   Rng R(1);
   Sequential Net;
   auto L = std::make_unique<Linear>(6, 4);
-  L->weight() = Tensor::randn({4, 6}, R, 0.5);
+  L->setWeight(Tensor::randn({4, 6}, R, 0.5));
   L->bias() = Tensor::randn({4}, R, 0.5);
   Net.add(std::move(L));
   gradCheck(Net, Tensor::randn({3, 6}, R));
@@ -82,12 +82,12 @@ TEST(GradCheck, LinearReluStack) {
   Rng R(2);
   Sequential Net;
   auto L1 = std::make_unique<Linear>(5, 8);
-  L1->weight() = Tensor::randn({8, 5}, R, 0.5);
+  L1->setWeight(Tensor::randn({8, 5}, R, 0.5));
   L1->bias() = Tensor::randn({8}, R, 0.5);
   Net.add(std::move(L1));
   Net.add(std::make_unique<ReLU>());
   auto L2 = std::make_unique<Linear>(8, 3);
-  L2->weight() = Tensor::randn({3, 8}, R, 0.5);
+  L2->setWeight(Tensor::randn({3, 8}, R, 0.5));
   L2->bias() = Tensor::randn({3}, R, 0.5);
   Net.add(std::move(L2));
   gradCheck(Net, Tensor::randn({2, 5}, R));
@@ -123,7 +123,7 @@ TEST(GradCheck, ConvFlattenLinearPipeline) {
   Net.add(std::make_unique<ReLU>());
   Net.add(std::make_unique<Flatten>());
   auto L = std::make_unique<Linear>(4 * 5 * 5, 2);
-  L->weight() = Tensor::randn({2, 100}, R, 0.2);
+  L->setWeight(Tensor::randn({2, 100}, R, 0.2));
   L->bias() = Tensor::randn({2}, R, 0.2);
   Net.add(std::move(L));
   gradCheck(Net, Tensor::randn({2, 1, 5, 5}, R));
@@ -133,7 +133,7 @@ TEST(GradCheck, DecoderStylePipeline) {
   Rng R(6);
   Sequential Net;
   auto L = std::make_unique<Linear>(4, 2 * 3 * 3);
-  L->weight() = Tensor::randn({18, 4}, R, 0.5);
+  L->setWeight(Tensor::randn({18, 4}, R, 0.5));
   L->bias() = Tensor::randn({18}, R, 0.5);
   Net.add(std::move(L));
   Net.add(std::make_unique<ReLU>());

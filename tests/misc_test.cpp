@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 namespace genprove {
 namespace {
@@ -65,6 +67,127 @@ TEST(Serialize, GarbageMagicIsRejected) {
   Out << "this is not a genprove model file at all, not even close";
   Out.close();
   EXPECT_FALSE(loadNetwork(Path).has_value());
+  std::remove(Path.c_str());
+}
+
+/// Model files hand-encoded in the on-disk format (which stores Linear
+/// weights [Out, In]), independent of how the loader lays them out.
+class ModelBytes {
+public:
+  explicit ModelBytes(uint64_t NumLayers) {
+    put<uint64_t>(0x47454e50524f5645ull); // "GENPROVE"
+    put<uint32_t>(1);
+    put<uint64_t>(NumLayers);
+  }
+  ModelBytes &linear(int64_t In, int64_t Out) {
+    put<uint32_t>(0); // Layer::Kind::Linear
+    put<int64_t>(In);
+    return put<int64_t>(Out);
+  }
+  ModelBytes &relu() { return put<uint32_t>(3); } // Layer::Kind::ReLU
+  ModelBytes &tensor(std::vector<int64_t> Dims, const std::vector<double> &V) {
+    put<uint64_t>(Dims.size());
+    for (const int64_t D : Dims)
+      put<int64_t>(D);
+    for (const double X : V)
+      put<double>(X);
+    return *this;
+  }
+  std::string Bytes;
+
+private:
+  template <typename T> ModelBytes &put(T V) {
+    Bytes.append(reinterpret_cast<const char *>(&V), sizeof(V));
+    return *this;
+  }
+};
+
+std::vector<double> iota(int64_t N, double Scale) {
+  std::vector<double> V(static_cast<size_t>(N));
+  for (int64_t I = 0; I < N; ++I)
+    V[static_cast<size_t>(I)] = Scale * static_cast<double>(I + 1);
+  return V;
+}
+
+void writeFile(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Malformed headers fail cleanly (nullopt) before anything is allocated
+/// or transposed: a negative dim, dims whose bytes exceed the file, and a
+/// weight whose shape differs from the layer header.
+TEST(Serialize, MalformedLinearHeadersAreRejected) {
+  const std::string Path = "/tmp/genprove_malformed.bin";
+  const std::vector<std::string> Files = {
+      ModelBytes(1).linear(-5, 3).tensor({3, -5}, {}).Bytes,
+      ModelBytes(1)
+          .linear(int64_t{1} << 20, int64_t{1} << 20)
+          .tensor({int64_t{1} << 20, int64_t{1} << 20}, iota(16, 1.0))
+          .Bytes,
+      ModelBytes(1)
+          .linear(4, 3)
+          .tensor({5, 7}, iota(35, 0.5))
+          .tensor({3}, iota(3, 1.0))
+          .Bytes,
+  };
+  for (size_t I = 0; I < Files.size(); ++I) {
+    writeFile(Path, Files[I]);
+    EXPECT_FALSE(loadNetwork(Path).has_value()) << "file " << I;
+  }
+  std::remove(Path.c_str());
+}
+
+/// Every strict prefix of a valid file is rejected.
+TEST(Serialize, EveryTruncationIsRejected) {
+  const std::string Bytes = ModelBytes(3)
+                                .linear(3, 2)
+                                .tensor({2, 3}, iota(6, 0.25))
+                                .tensor({2}, iota(2, -1.0))
+                                .relu()
+                                .linear(2, 2)
+                                .tensor({2, 2}, iota(4, 0.5))
+                                .tensor({2}, iota(2, 2.0))
+                                .Bytes;
+  const std::string Path = "/tmp/genprove_prefix.bin";
+  writeFile(Path, Bytes);
+  ASSERT_TRUE(loadNetwork(Path).has_value());
+  for (size_t Len = 0; Len < Bytes.size(); ++Len) {
+    writeFile(Path, Bytes.substr(0, Len));
+    EXPECT_FALSE(loadNetwork(Path).has_value()) << "prefix " << Len;
+  }
+  std::remove(Path.c_str());
+}
+
+/// A file in the [Out, In] on-disk format loads into the transposed
+/// in-memory layout with the right orientation and re-saves byte for
+/// byte.
+TEST(Serialize, OnDiskFormatLoadsAndResavesByteIdentically) {
+  const std::vector<double> W = iota(6, 0.25); // [Out=2, In=3]
+  const std::string Bytes = ModelBytes(2)
+                                .linear(3, 2)
+                                .tensor({2, 3}, W)
+                                .tensor({2}, {-1.0, 0.5})
+                                .relu()
+                                .Bytes;
+  const std::string Path = "/tmp/genprove_format.bin";
+  writeFile(Path, Bytes);
+  auto Net = loadNetwork(Path);
+  ASSERT_TRUE(Net.has_value());
+  ASSERT_EQ(Net->size(), 2u);
+  const Tensor Y =
+      Net->layer(0).applyAffine(Tensor({1, 3}, {1.0, 10.0, 100.0}));
+  // y_o = sum_i W[o, i] x_i + b_o.
+  EXPECT_EQ(Y[0], 0.25 + 5.0 + 75.0 - 1.0);
+  EXPECT_EQ(Y[1], 1.0 + 12.5 + 150.0 + 0.5);
+  ASSERT_TRUE(saveNetwork(*Net, Path));
+  EXPECT_EQ(readFile(Path), Bytes);
   std::remove(Path.c_str());
 }
 

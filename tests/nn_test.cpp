@@ -18,7 +18,7 @@ namespace {
 TEST(Linear, AffineInterfaceMatchesForward) {
   Rng R(1);
   Linear L(4, 3);
-  L.weight() = Tensor::randn({3, 4}, R);
+  L.setWeight(Tensor::randn({3, 4}, R));
   L.bias() = Tensor::randn({3}, R);
   Tensor X = Tensor::randn({2, 4}, R);
   const Tensor Fwd = L.forward(X);
@@ -35,7 +35,7 @@ TEST(Linear, AffineInterfaceMatchesForward) {
 TEST(Linear, BoxPropagationIsSound) {
   Rng R(2);
   Linear L(5, 4);
-  L.weight() = Tensor::randn({4, 5}, R);
+  L.setWeight(Tensor::randn({4, 5}, R));
   L.bias() = Tensor::randn({4}, R);
   Tensor Center = Tensor::randn({1, 5}, R);
   Tensor Radius = Tensor::rand({1, 5}, R, 0.0, 0.5);

@@ -14,8 +14,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <regex>
+#include <set>
 #include <sstream>
 
 #include <unistd.h>
@@ -537,17 +540,17 @@ TEST_F(ObsTest, FlushGuardWritesEveryConfiguredArtifact) {
 Sequential makeMlp(Rng &R) {
   Sequential Net;
   auto L1 = std::make_unique<Linear>(4, 12);
-  L1->weight() = Tensor::randn({12, 4}, R, 0.8);
+  L1->setWeight(Tensor::randn({12, 4}, R, 0.8));
   L1->bias() = Tensor::randn({12}, R, 0.5);
   Net.add(std::move(L1));
   Net.add(std::make_unique<ReLU>());
   auto L2 = std::make_unique<Linear>(12, 8);
-  L2->weight() = Tensor::randn({8, 12}, R, 0.8);
+  L2->setWeight(Tensor::randn({8, 12}, R, 0.8));
   L2->bias() = Tensor::randn({8}, R, 0.5);
   Net.add(std::move(L2));
   Net.add(std::make_unique<ReLU>());
   auto L3 = std::make_unique<Linear>(8, 3);
-  L3->weight() = Tensor::randn({3, 8}, R, 0.8);
+  L3->setWeight(Tensor::randn({3, 8}, R, 0.8));
   L3->bias() = Tensor::randn({3}, R, 0.5);
   Net.add(std::move(L3));
   return Net;
@@ -647,7 +650,7 @@ TEST_F(ObsTest, OomTimelineMarksTheFailingLayer) {
   // budget, so the OOM deterministically hits layer 1.
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 2);
-  L->weight() = Tensor({2, 1}, {1.0, 1.0});
+  L->setWeight(Tensor({2, 1}, {1.0, 1.0}));
   L->bias() = Tensor({2}, {-0.25, -0.75});
   Net.add(std::move(L));
   Net.add(std::make_unique<ReLU>());
@@ -667,6 +670,39 @@ TEST_F(ObsTest, OomTimelineMarksTheFailingLayer) {
   ASSERT_EQ(Stats.Layers.size(), 2u);
   EXPECT_EQ(Stats.Layers.back().Index, Stats.OomLayer);
   EXPECT_STREQ(Stats.Layers.back().Kind, "ReLU");
+}
+
+/// Every metric the code registers under a literal name must be listed in
+/// docs/OBSERVABILITY.md (as `name`, or `name{...}` for labeled series),
+/// so the catalogue cannot drift from what the binaries emit.
+TEST_F(ObsTest, EveryEmittedMetricIsDocumented) {
+  namespace fs = std::filesystem;
+  const fs::path Root(GENPROVE_SOURCE_DIR);
+  auto ReadAll = [](const fs::path &P) {
+    std::ifstream In(P, std::ios::binary);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    return Buf.str();
+  };
+  const std::regex Call(R"re(\b(counter|gauge|histogram)\(\s*"([^"]+)")re");
+  std::set<std::string> Names;
+  for (const char *Dir : {"src", "tools"})
+    for (const auto &Entry : fs::recursive_directory_iterator(Root / Dir)) {
+      const std::string Ext = Entry.path().extension().string();
+      if (Ext != ".cpp" && Ext != ".h")
+        continue;
+      const std::string Text = ReadAll(Entry.path());
+      for (std::sregex_iterator It(Text.begin(), Text.end(), Call), End;
+           It != End; ++It)
+        Names.insert((*It)[2].str());
+    }
+  ASSERT_TRUE(Names.count("propagate.splits")) << "the scan found nothing";
+
+  const std::string Doc = ReadAll(Root / "docs" / "OBSERVABILITY.md");
+  for (const std::string &Name : Names)
+    EXPECT_TRUE(Doc.find("`" + Name + "`") != std::string::npos ||
+                Doc.find("`" + Name + "{") != std::string::npos)
+        << Name << " is emitted but not listed in docs/OBSERVABILITY.md";
 }
 
 } // namespace

@@ -275,7 +275,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims) {
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.8);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.8));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.5);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -415,7 +415,7 @@ TEST(AbsWeightCacheTest, RebuildsOnInvalidateAndSurvivesConcurrentReads) {
 
 TEST(AbsWeightCacheTest, LinearAccessorInvalidates) {
   Linear L(3, 2);
-  L.weight() = Tensor({2, 3}, {1.0, -2.0, 3.0, -4.0, 5.0, -6.0});
+  L.setWeight(Tensor({2, 3}, {1.0, -2.0, 3.0, -4.0, 5.0, -6.0}));
   L.bias() = Tensor({2}, {0.0, 0.0});
   const Tensor Center({1, 3}, {0.0, 0.0, 0.0});
   const Tensor Radius({1, 3}, {1.0, 1.0, 1.0});
@@ -424,8 +424,10 @@ TEST(AbsWeightCacheTest, LinearAccessorInvalidates) {
   // |W| row sums: 1+2+3 = 6, 4+5+6 = 15.
   EXPECT_DOUBLE_EQ(R1[0], 6.0);
   EXPECT_DOUBLE_EQ(R1[1], 15.0);
-  // Mutating through the accessor must invalidate the cached |W|.
-  L.weight()[0] = -10.0;
+  // Replacing the weight must take effect on the next box transform.
+  Tensor W = L.weight();
+  W[0] = -10.0;
+  L.setWeight(W);
   Tensor C2 = Center.clone(), R2 = Radius.clone();
   L.applyToBox(C2, R2);
   EXPECT_DOUBLE_EQ(R2[0], 15.0);

@@ -21,7 +21,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims) {
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.8);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.8));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.5);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -100,7 +100,7 @@ TEST_P(PropagateSoundness, RelaxedSegmentStillCoversSamples) {
   Sequential ConvNet;
   {
     auto L = std::make_unique<Linear>(3, 2 * 4 * 4);
-    L->weight() = Tensor::randn({32, 3}, R, 0.8);
+    L->setWeight(Tensor::randn({32, 3}, R, 0.8));
     L->bias() = Tensor::randn({32}, R, 0.3);
     ConvNet.add(std::move(L));
     ConvNet.add(std::make_unique<ReLU>());
@@ -112,7 +112,7 @@ TEST_P(PropagateSoundness, RelaxedSegmentStillCoversSamples) {
     ConvNet.add(std::make_unique<ReLU>());
     ConvNet.add(std::make_unique<Flatten>());
     auto L2 = std::make_unique<Linear>(3 * 4 * 4, 2);
-    L2->weight() = Tensor::randn({2, 48}, R, 0.5);
+    L2->setWeight(Tensor::randn({2, 48}, R, 0.5));
     L2->bias() = Tensor::randn({2}, R, 0.3);
     ConvNet.add(std::move(L2));
   }
@@ -207,7 +207,7 @@ TEST(Propagate, SegmentSplitCountMatchesCrossings) {
   // One linear layer to 2 dims; crossings at t = 0.25 and t = 0.75.
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 2);
-  L->weight() = Tensor({2, 1}, {1.0, 1.0});
+  L->setWeight(Tensor({2, 1}, {1.0, 1.0}));
   L->bias() = Tensor({2}, {-0.25, -0.75});
   Net.add(std::move(L));
   Net.add(std::make_unique<ReLU>());
@@ -251,7 +251,7 @@ TEST(Propagate, ArcsineCdfWeightsSplits) {
   // crossing at t = 0.25 gives F(0.25) = 2/pi * asin(0.5) = 1/3.
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 1);
-  L->weight() = Tensor({1, 1}, {1.0});
+  L->setWeight(Tensor({1, 1}, {1.0}));
   L->bias() = Tensor({1}, {-0.25});
   Net.add(std::move(L));
   Net.add(std::make_unique<ReLU>());

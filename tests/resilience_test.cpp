@@ -32,7 +32,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims) {
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.8);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.8));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.5);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())
@@ -350,7 +350,7 @@ TEST(RefinementSchedule, TightBudgetRetriesEscalateAndStaySound) {
   Sequential ConvNet;
   {
     auto L = std::make_unique<Linear>(3, 2 * 4 * 4);
-    L->weight() = Tensor::randn({32, 3}, R, 0.8);
+    L->setWeight(Tensor::randn({32, 3}, R, 0.8));
     L->bias() = Tensor::randn({32}, R, 0.3);
     ConvNet.add(std::move(L));
     ConvNet.add(std::make_unique<ReLU>());
@@ -362,7 +362,7 @@ TEST(RefinementSchedule, TightBudgetRetriesEscalateAndStaySound) {
     ConvNet.add(std::make_unique<ReLU>());
     ConvNet.add(std::make_unique<Flatten>());
     auto L2 = std::make_unique<Linear>(3 * 4 * 4, 2);
-    L2->weight() = Tensor::randn({2, 48}, R, 0.5);
+    L2->setWeight(Tensor::randn({2, 48}, R, 0.5));
     L2->bias() = Tensor::randn({2}, R, 0.3);
     ConvNet.add(std::move(L2));
   }

@@ -14,7 +14,7 @@ namespace {
 Sequential makeThresholdNet(double Threshold) {
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 1);
-  L->weight() = Tensor({1, 1}, {-1.0});
+  L->setWeight(Tensor({1, 1}, {-1.0}));
   L->bias() = Tensor({1}, {Threshold});
   Net.add(std::move(L));
   return Net;
@@ -84,7 +84,7 @@ TEST(Sampler, QuadraticCurveSampling) {
   // Spec component (t - 0.25)(t - 0.75) > 0: true mass 0.5.
   Sequential Net;
   auto L = std::make_unique<Linear>(1, 1);
-  L->weight() = Tensor({1, 1}, {1.0});
+  L->setWeight(Tensor({1, 1}, {1.0}));
   L->bias() = Tensor({1}, {0.0});
   Net.add(std::move(L));
   Tensor A0({1, 1}, {0.1875});

@@ -305,6 +305,26 @@ TEST(ServeCodec, WorkerSpecRoundTrips) {
   EXPECT_EQ(Out.Inject, "crash");
 }
 
+/// The retired "fuse" flag (it only ever selected bit-identical kernels)
+/// is still accepted in a worker spec and changes nothing.
+TEST(ServeCodec, WorkerSpecIgnoresRetiredFuseField) {
+  ServeWorkerSpec S;
+  S.NetPaths = {"/tmp/a.gpn"};
+  S.InputShape = "1x2";
+  S.Start = {0.0, 1.0};
+  S.End = {1.0, 0.0};
+  S.Specs = {"argmax:0:2"};
+  const std::string Text = encodeServeWorkerSpec(S);
+  ASSERT_EQ(Text.back(), '}');
+  const std::string WithFuse =
+      Text.substr(0, Text.size() - 1) + ",\"fuse\":true}";
+  ServeWorkerSpec Plain, Fused;
+  std::string Err;
+  ASSERT_TRUE(decodeServeWorkerSpec(Text, Plain, &Err)) << Err;
+  ASSERT_TRUE(decodeServeWorkerSpec(WithFuse, Fused, &Err)) << Err;
+  EXPECT_EQ(encodeServeWorkerSpec(Fused), encodeServeWorkerSpec(Plain));
+}
+
 // ---------------------------------------------------------------------------
 // End to end over a live socket.
 // ---------------------------------------------------------------------------
@@ -328,7 +348,7 @@ protected:
     auto L = std::make_unique<Linear>(2, 2);
     // argmax:0 wins exactly when x0 > x1: an identity map keeps the
     // ground truth obvious.
-    L->weight() = Tensor({2, 2}, {1.0, 0.0, 0.0, 1.0});
+    L->setWeight(Tensor({2, 2}, {1.0, 0.0, 0.0, 1.0}));
     L->bias() = Tensor({2}, {0.0, 0.0});
     Net.add(std::move(L));
     ASSERT_TRUE(saveNetwork(Net, NetPath));
@@ -493,6 +513,30 @@ TEST_F(ServeEndToEnd, PingVerifyAndStats) {
   ASSERT_TRUE(roundTrip(Fd, "{\"type\":\"ping\"}", Reply));
   EXPECT_EQ(Reply.find("type")->stringOr(""), "pong");
 
+  ::close(Fd);
+}
+
+/// A verify request still carrying the retired "fuse" flag parses and
+/// gets bounds bit-identical to the same request without it.
+TEST_F(ServeEndToEnd, RetiredFuseFieldGivesIdenticalBounds) {
+  startServer(ServeConfig{});
+  const int Fd = connectSocket();
+  ASSERT_GE(Fd, 0);
+  const std::string Plain = verifyLine("plain", -1.0);
+  const std::string Fused =
+      Plain.substr(0, Plain.size() - 1) + ",\"fuse\":true}";
+  JsonValue A, B;
+  ASSERT_TRUE(roundTrip(Fd, Plain, A));
+  ASSERT_TRUE(roundTrip(Fd, Fused, B));
+  EXPECT_EQ(A.find("status")->stringOr(""), "ok");
+  EXPECT_EQ(B.find("status")->stringOr(""), "ok");
+  const JsonValue *SA = A.find("specs");
+  const JsonValue *SB = B.find("specs");
+  ASSERT_TRUE(SA && SB && SA->Items.size() == 1 && SB->Items.size() == 1);
+  EXPECT_EQ(SA->Items[0].find("lower")->numberOr(-1.0),
+            SB->Items[0].find("lower")->numberOr(-2.0));
+  EXPECT_EQ(SA->Items[0].find("upper")->numberOr(-1.0),
+            SB->Items[0].find("upper")->numberOr(-2.0));
   ::close(Fd);
 }
 

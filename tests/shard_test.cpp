@@ -35,7 +35,7 @@ Sequential makeRandomMlp(Rng &R, const std::vector<int64_t> &Dims) {
   Sequential Net;
   for (size_t I = 0; I + 1 < Dims.size(); ++I) {
     auto L = std::make_unique<Linear>(Dims[I], Dims[I + 1]);
-    L->weight() = Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.8);
+    L->setWeight(Tensor::randn({Dims[I + 1], Dims[I]}, R, 0.8));
     L->bias() = Tensor::randn({Dims[I + 1]}, R, 0.5);
     Net.add(std::move(L));
     if (I + 2 < Dims.size())

@@ -93,7 +93,7 @@ namespace {
       "                    [--cache-mb N]\n"
       "                    [--p P] [--k K] [--threshold T] [--budget-mb M]\n"
       "                    [--deterministic] [--arcsine] [--sound]\n"
-      "                    [--fuse] [--fast-screen] [--screen-splits N]\n"
+      "                    [--fast-screen] [--screen-splits N]\n"
       "                    [--splits N]\n"
       "                    [--schedule A|B] [--threads N]\n"
       "                    [--resilient] [--deadline-ms D]\n"
@@ -115,11 +115,6 @@ namespace {
       "                      a sub-percent width cost (docs/SOUNDNESS.md)\n"
       "\n"
       "kernels (docs/PERFORMANCE.md):\n"
-      "  --fuse              stream each affine->ReLU layer pair through\n"
-      "                      one fused cache-resident kernel; bounds are\n"
-      "                      bit-identical to the unfused path at any\n"
-      "                      thread count in both rounding modes. Ignored\n"
-      "                      on resilient/fault-injected propagations.\n"
       "  --fast-screen       two-tier precision fast path: a float32\n"
       "                      screen with a sound error cushion classifies\n"
       "                      parameter pieces as inside/outside/borderline\n"
@@ -518,9 +513,6 @@ int main(int Argc, char **Argv) {
       Config.Mode = AnalysisMode::Deterministic;
     } else if (Arg == "--sound") {
       setSoundRounding(true);
-      Forward({Arg});
-    } else if (Arg == "--fuse") {
-      Config.FuseRelu = true;
       Forward({Arg});
     } else if (Arg == "--fast-screen") {
       Config.FastScreen = true;

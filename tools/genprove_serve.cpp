@@ -257,7 +257,6 @@ int workerMain(const std::string &SpecPath, int64_t Attempt, int64_t Rung) {
   Conf.MemoryBudgetBytes = Spec.BudgetBytes;
   Conf.Resilience.Enabled = true;
   Conf.Resilience.DeadlineSeconds = Spec.DeadlineSeconds;
-  Conf.FuseRelu = Spec.Fuse;
   Conf.FastScreen = Spec.FastScreen;
 
   AttemptPlan Plan;
