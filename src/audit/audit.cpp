@@ -362,26 +362,20 @@ ModelAudit auditSegment(const std::string &Name,
     Dom.Domain = "screened";
     Dom.Samples = K;
     const ScreenPlan Plan = buildScreenPlan(Layers);
-    const int64_t Splits = std::max<int64_t>(ScreenCfg.ScreenSplits, 1);
-    std::vector<ScreenVerdict> Verdicts(
-        static_cast<size_t>(Splits), ScreenVerdict::Borderline);
-    Tensor PieceStart({1, N}), PieceEnd({1, N});
-    for (int64_t P = 0; P < Splits; ++P) {
-      const double P0 = static_cast<double>(P) / static_cast<double>(Splits);
-      const double P1 =
-          static_cast<double>(P + 1) / static_cast<double>(Splits);
-      for (int64_t J = 0; J < N; ++J) {
-        PieceStart[J] = Start[J] + P0 * (End[J] - Start[J]);
-        PieceEnd[J] = Start[J] + P1 * (End[J] - Start[J]);
-      }
-      Verdicts[static_cast<size_t>(P)] =
-          screenClassify(Plan, PieceStart, PieceEnd, Adversarial);
-    }
+    const std::vector<double> Cuts =
+        planRange(0.0, 1.0, ScreenCfg.ScreenSplits);
+    const Region Full = makeSegmentRegion(Start, End);
+    std::vector<ScreenVerdict> Verdicts;
+    for (size_t P = 0; P + 1 < Cuts.size(); ++P)
+      Verdicts.push_back(screenClassify(
+          Plan, restrictCurve(Full, Cuts[P], Cuts[P + 1], 1.0), Adversarial));
     for (int64_t I = 0; I < K; ++I) {
-      const double T = Ts[static_cast<size_t>(I)];
-      const int64_t P = std::min<int64_t>(
-          static_cast<int64_t>(T * static_cast<double>(Splits)), Splits - 1);
-      const ScreenVerdict V = Verdicts[static_cast<size_t>(P)];
+      // The piece whose [Cuts[P], Cuts[P+1]) holds the sample's parameter:
+      // the first interior cut above T closes it.
+      const auto Above = std::upper_bound(Cuts.begin() + 1, Cuts.end() - 1,
+                                          Ts[static_cast<size_t>(I)]);
+      const ScreenVerdict V =
+          Verdicts[static_cast<size_t>(Above - Cuts.begin()) - 1];
       if (V == ScreenVerdict::Borderline)
         continue;
       bool CertainlySat = true, CertainlyViol = false;

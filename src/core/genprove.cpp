@@ -83,14 +83,11 @@ PropagatedState
 GenProve::propagateSegment(const std::vector<const Layer *> &Layers,
                            const Shape &InputShape, const Tensor &Start,
                            const Tensor &End) const {
-  const Tensor A = Start.reshaped({1, Start.numel()});
-  const Tensor B = End.reshaped({1, End.numel()});
-  const int64_t Splits = std::max<int64_t>(Config.InputSplits, 1);
-  if (Splits == 1) {
-    std::vector<Region> Initial;
-    Initial.push_back(makeSegmentRegion(A, B));
-    return propagateWithSchedule(Layers, InputShape, Initial);
-  }
+  const Region Full = makeSegmentRegion(Start.reshaped({1, Start.numel()}),
+                                        End.reshaped({1, End.numel()}));
+  const std::vector<double> Cuts = planRange(0.0, 1.0, Config.InputSplits);
+  if (Cuts.size() == 2)
+    return propagateWithSchedule(Layers, InputShape, {Full});
 
   // Section 5.2: verify parameter sub-ranges sequentially and merge. The
   // peak memory of the merged analysis is the max over the parts (each
@@ -99,20 +96,10 @@ GenProve::propagateSegment(const std::vector<const Layer *> &Layers,
   PropagatedState Merged;
   const ParamCdf Cdf = makeCdf(Config.Distribution);
   Merged.Cdf = Cdf;
-  for (int64_t I = 0; I < Splits; ++I) {
-    const double T0 = static_cast<double>(I) / static_cast<double>(Splits);
-    const double T1 =
-        static_cast<double>(I + 1) / static_cast<double>(Splits);
-    Tensor PartStart({1, A.numel()});
-    Tensor PartEnd({1, A.numel()});
-    for (int64_t J = 0; J < A.numel(); ++J) {
-      PartStart[J] = A[J] + T0 * (B[J] - A[J]);
-      PartEnd[J] = A[J] + T1 * (B[J] - A[J]);
-    }
-    std::vector<Region> Initial;
-    Initial.push_back(makeSegmentRegion(PartStart, PartEnd,
-                                        Cdf(T1) - Cdf(T0), T0, T1));
-    PropagatedState Part = propagateWithSchedule(Layers, InputShape, Initial);
+  for (size_t I = 0; I + 1 < Cuts.size(); ++I) {
+    const double T0 = Cuts[I], T1 = Cuts[I + 1];
+    PropagatedState Part = propagateWithSchedule(
+        Layers, InputShape, {restrictCurve(Full, T0, T1, Cdf(T1) - Cdf(T0))});
     Merged.Seconds += Part.Seconds;
     Merged.PeakBytes = std::max(Merged.PeakBytes, Part.PeakBytes);
     Merged.Retries = std::max(Merged.Retries, Part.Retries);
@@ -298,14 +285,14 @@ GenProve::propagateChain(const std::vector<const Layer *> &Layers,
                          const std::vector<Tensor> &Waypoints) const {
   check(Waypoints.size() >= 2, "a chain needs at least two waypoints");
   const ParamCdf Cdf = makeCdf(Config.Distribution);
-  const int64_t Legs = static_cast<int64_t>(Waypoints.size()) - 1;
+  const std::vector<double> Cuts = planRange(
+      0.0, 1.0, static_cast<int64_t>(Waypoints.size()) - 1);
   std::vector<Region> Initial;
-  Initial.reserve(static_cast<size_t>(Legs));
-  for (int64_t I = 0; I < Legs; ++I) {
-    const double T0 = static_cast<double>(I) / static_cast<double>(Legs);
-    const double T1 = static_cast<double>(I + 1) / static_cast<double>(Legs);
-    const Tensor &A = Waypoints[static_cast<size_t>(I)];
-    const Tensor &B = Waypoints[static_cast<size_t>(I + 1)];
+  Initial.reserve(Cuts.size() - 1);
+  for (size_t I = 0; I + 1 < Cuts.size(); ++I) {
+    const double T0 = Cuts[I], T1 = Cuts[I + 1];
+    const Tensor &A = Waypoints[I];
+    const Tensor &B = Waypoints[I + 1];
     Initial.push_back(makeSegmentRegion(A.reshaped({1, A.numel()}),
                                         B.reshaped({1, B.numel()}),
                                         Cdf(T1) - Cdf(T0), T0, T1));
@@ -330,10 +317,11 @@ PropagatedState GenProve::propagateRegionsFrom(
   return propagateWithSchedule(Layers, InputShape, Initial);
 }
 
-ProbBounds GenProve::boundsFor(const PropagatedState &State,
-                               const OutputSpec &Spec) const {
-  if (State.OutOfMemory)
-    return {0.0, 1.0, true, State.Degraded};
+namespace {
+
+/// Probabilistic bounds of a propagated state that did not run out of
+/// memory, before any deterministic collapse.
+ProbBounds stateBounds(const PropagatedState &State, const OutputSpec &Spec) {
   ProbBounds Bounds = computeProbBounds(State.Regions, Spec, State.Cdf);
   // Quarantined (non-finite) regions could have landed anywhere, so their
   // mass must be added to the upper bound; the lower bound, computed from
@@ -346,12 +334,8 @@ ProbBounds GenProve::boundsFor(const PropagatedState &State,
     Bounds.Upper = std::min(1.0, Raised);
   }
   Bounds.Degraded = State.Degraded;
-  if (Config.Mode == AnalysisMode::Deterministic)
-    Bounds = Bounds.deterministic();
   return Bounds;
 }
-
-namespace {
 
 /// Project a propagated state (minus its regions) onto a result.
 AnalysisResult resultFromState(const PropagatedState &State,
@@ -378,6 +362,15 @@ AnalysisResult resultFromState(const PropagatedState &State,
 
 } // namespace
 
+ProbBounds GenProve::boundsFor(const PropagatedState &State,
+                               const OutputSpec &Spec) const {
+  if (State.OutOfMemory)
+    return {0.0, 1.0, true, State.Degraded};
+  const ProbBounds Bounds = stateBounds(State, Spec);
+  return Config.Mode == AnalysisMode::Deterministic ? Bounds.deterministic()
+                                                    : Bounds;
+}
+
 AnalysisResult
 GenProve::analyzeSegment(const std::vector<const Layer *> &Layers,
                          const Shape &InputShape, const Tensor &Start,
@@ -403,122 +396,73 @@ AnalysisResult GenProve::analyzeSegmentScreened(
       MetricsRegistry::global().counter("screen.borderline_pieces");
   Timer Clock;
 
-  const Tensor A = Start.reshaped({1, Start.numel()});
-  const Tensor B = End.reshaped({1, End.numel()});
+  const Region Full = makeSegmentRegion(Start.reshaped({1, Start.numel()}),
+                                        End.reshaped({1, End.numel()}));
   const ParamCdf Cdf = makeCdf(Config.Distribution);
-  const int64_t Splits = std::max<int64_t>(Config.ScreenSplits, 1);
+  const std::vector<double> Cuts = planRange(T0, T1, Config.ScreenSplits);
   const ScreenPlan Plan = buildScreenPlan(Layers);
   const bool Sound = soundRoundingEnabled();
 
-  AnalysisResult Result;
-  Result.Screened = true;
-
-  // Screening tier: classify each piece of [T0, T1]. Inside pieces donate
-  // their CDF mass to both bounds directly (directed accumulation when
-  // sound rounding is on); outside pieces donate nothing to either;
-  // borderline pieces collect into ONE batched sound propagation, whose
-  // regions keep their global parameter sub-ranges so the double tier's
-  // exact curve-mass machinery applies unchanged.
-  double InsideDown = 0.0, InsideUp = 0.0;
+  // Screening tier: classify each piece of [T0, T1]. An inside piece is a
+  // part of the union whose bounds are its CDF mass (rounded down for the
+  // lower bound, up for the upper when sound rounding is on); outside
+  // pieces contribute nothing; borderline pieces collect into ONE batched
+  // sound propagation, whose regions keep their global parameter
+  // sub-ranges so the double tier's exact curve-mass machinery applies
+  // unchanged.
+  int64_t NumInside = 0, NumOutside = 0;
   double BorderMassUp = 0.0;
+  std::vector<ProbBounds> Parts;
   std::vector<Region> Border;
-  for (int64_t I = 0; I < Splits; ++I) {
-    const double P0 =
-        T0 + (T1 - T0) * (static_cast<double>(I) /
-                          static_cast<double>(Splits));
-    const double P1 =
-        T0 + (T1 - T0) * (static_cast<double>(I + 1) /
-                          static_cast<double>(Splits));
-    Tensor PartStart({1, A.numel()});
-    Tensor PartEnd({1, A.numel()});
-    for (int64_t J = 0; J < A.numel(); ++J) {
-      PartStart[J] = A[J] + P0 * (B[J] - A[J]);
-      PartEnd[J] = A[J] + P1 * (B[J] - A[J]);
-    }
+  for (size_t I = 0; I + 1 < Cuts.size(); ++I) {
+    const double P0 = Cuts[I], P1 = Cuts[I + 1];
     const double Weight =
         Sound ? fp::subUp(Cdf(P1), Cdf(P0)) : Cdf(P1) - Cdf(P0);
-    const ScreenVerdict V =
-        screenClassify(Plan, PartStart, PartEnd, Spec);
-    switch (V) {
+    Region Piece = restrictCurve(Full, P0, P1, Weight);
+    switch (screenClassify(Plan, Piece, Spec)) {
     case ScreenVerdict::Inside:
-      ++Result.ScreenedInside;
-      // The inside mass enters the lower bound, so its weight must be
-      // rounded *down* for the lower accumulation; Weight above rounds up
-      // (safe for the upper bound), so recompute downward here.
-      InsideDown = Sound ? fp::addDown(InsideDown,
-                                       fp::subDown(Cdf(P1), Cdf(P0)))
-                         : InsideDown + Weight;
-      InsideUp = Sound ? fp::addUp(InsideUp, Weight) : InsideUp + Weight;
+      ++NumInside;
+      Parts.push_back(
+          {Sound ? fp::subDown(Cdf(P1), Cdf(P0)) : Weight, Weight});
       break;
     case ScreenVerdict::Outside:
-      ++Result.ScreenedOutside;
+      ++NumOutside;
       break;
     case ScreenVerdict::Borderline:
-      ++Result.ScreenedBorderline;
       BorderMassUp =
           Sound ? fp::addUp(BorderMassUp, Weight) : BorderMassUp + Weight;
-      Border.push_back(makeSegmentRegion(PartStart, PartEnd, Weight, P0,
-                                         P1));
+      Border.push_back(std::move(Piece));
       break;
     }
   }
-  InsideCtr.add(Result.ScreenedInside);
-  OutsideCtr.add(Result.ScreenedOutside);
-  BorderCtr.add(Result.ScreenedBorderline);
+  const int64_t NumBorder = static_cast<int64_t>(Border.size());
+  InsideCtr.add(NumInside);
+  OutsideCtr.add(NumOutside);
+  BorderCtr.add(NumBorder);
 
-  // Sound tier: one batched propagation of every borderline piece.
-  ProbBounds Bounds;
-  double BorderLower = 0.0, BorderUpper = 0.0;
+  // Sound tier: one batched propagation of every borderline piece. When
+  // the borderline set cannot be analyzed its mass stays fully uncertain,
+  // but the screened inside mass is still a sound floor.
+  AnalysisResult Result;
   if (!Border.empty()) {
-    PropagatedState State =
+    const PropagatedState State =
         propagateWithSchedule(Layers, InputShape, Border);
-    Result.PeakBytes = State.PeakBytes;
-    Result.OutOfMemory = State.OutOfMemory;
-    Result.MaxRegions = State.Stats.MaxRegions;
-    Result.MaxNodes = State.Stats.MaxNodes;
-    Result.Retries = State.Retries;
-    Result.UsedRelaxPercent = State.UsedRelaxPercent;
-    Result.UsedClusterK = State.UsedClusterK;
-    Result.Degraded = State.Degraded;
-    Result.Rung = State.Stats.Rung;
-    Result.Rollbacks = State.Stats.Rollbacks;
-    Result.FallbackBoxLayers = State.Stats.FallbackBoxLayers;
-    Result.DeadlineHit = State.Stats.DeadlineHit;
-    Result.QuarantinedMass = State.Stats.QuarantinedMass;
-    Result.Layers = State.Stats.Layers;
-    if (State.OutOfMemory) {
-      // The borderline set could not be analyzed: its mass stays fully
-      // uncertain, but the screened inside mass is still a sound floor.
-      BorderLower = 0.0;
-      BorderUpper = BorderMassUp;
-      Bounds.Degraded = true;
-    } else {
-      ProbBounds BB = computeProbBounds(State.Regions, Spec, State.Cdf);
-      if (State.Stats.QuarantinedMass > 0.0) {
-        const double Raised =
-            Sound ? fp::addUp(BB.Upper, State.Stats.QuarantinedMass)
-                  : BB.Upper + State.Stats.QuarantinedMass;
-        BB.Upper = std::min(1.0, Raised);
-      }
-      BorderLower = BB.Lower;
-      BorderUpper = BB.Upper;
-      Bounds.Degraded = State.Degraded;
-    }
+    Result = resultFromState(State, {});
+    Parts.push_back(State.OutOfMemory
+                        ? ProbBounds{0.0, BorderMassUp, false, true}
+                        : stateBounds(State, Spec));
   }
-
-  Bounds.Lower = Sound ? fp::addDown(InsideDown, BorderLower)
-                       : InsideDown + BorderLower;
-  Bounds.Upper =
-      Sound ? fp::addUp(InsideUp, BorderUpper) : InsideUp + BorderUpper;
-  Bounds.Lower = std::min(std::max(Bounds.Lower, 0.0), 1.0);
-  Bounds.Upper = std::min(std::max(Bounds.Upper, Bounds.Lower), 1.0);
-  Bounds.OutOfMemory = false; // the assembled interval is always sound
+  ProbBounds Bounds = boundsOfDisjointUnion(Parts);
   if (Config.Mode == AnalysisMode::Deterministic)
     Bounds = Bounds.deterministic();
 
   Result.Bounds = Bounds;
   Result.Degraded |= Bounds.Degraded;
   Result.Seconds = Clock.seconds();
+  Result.Screened = true;
+  Result.ScreenedInside = NumInside;
+  Result.ScreenedOutside = NumOutside;
+  Result.ScreenedBorderline = NumBorder;
   return Result;
 }
 

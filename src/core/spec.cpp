@@ -4,11 +4,10 @@
 
 #include "src/util/error.h"
 #include "src/util/fp.h"
+#include "src/util/parse.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 
 namespace genprove {
 
@@ -287,32 +286,34 @@ ProbBounds computeProbBounds(const std::vector<Region> &Regions,
   return Bounds;
 }
 
+ProbBounds boundsOfDisjointUnion(const std::vector<ProbBounds> &Parts) {
+  const auto PlainSum = [](const std::vector<double> &Values) {
+    double S = 0.0, C = 0.0;
+    for (double V : Values) {
+      const double T = S + V;
+      C += std::fabs(S) >= std::fabs(V) ? (S - T) + V : (V - T) + S;
+      S = T;
+    }
+    return S + C;
+  };
+  std::vector<double> Lowers, Uppers;
+  Lowers.reserve(Parts.size());
+  Uppers.reserve(Parts.size());
+  ProbBounds Union;
+  for (const ProbBounds &P : Parts) {
+    Lowers.push_back(P.Lower);
+    Uppers.push_back(P.Upper);
+    Union.Degraded = Union.Degraded || P.Degraded;
+  }
+  const bool Sound = soundRoundingEnabled();
+  Union.Lower =
+      std::clamp(Sound ? fp::sumDown(Lowers) : PlainSum(Lowers), 0.0, 1.0);
+  Union.Upper = std::clamp(Sound ? fp::sumUp(Uppers) : PlainSum(Uppers),
+                           Union.Lower, 1.0);
+  return Union;
+}
+
 namespace {
-
-/// strtoll/strtod with full-token validation; false on anything but a
-/// complete numeric token.
-bool parseInt(const std::string &Text, int64_t &Out) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  const long long V = std::strtoll(Text.c_str(), &End, 10);
-  if (End != Text.c_str() + Text.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parseReal(const std::string &Text, double &Out) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  const double V = std::strtod(Text.c_str(), &End);
-  if (End != Text.c_str() + Text.size() || !std::isfinite(V))
-    return false;
-  Out = V;
-  return true;
-}
 
 bool specError(std::string *Err, const char *Message) {
   if (Err)

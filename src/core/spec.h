@@ -107,6 +107,18 @@ ProbBounds computeProbBounds(const std::vector<Region> &Regions,
                              const OutputSpec &Spec,
                              const std::function<double(double)> &Cdf = {});
 
+/// The one sound merge: bounds on Pr[y in D] over a disjoint union of
+/// parameter pieces (shards, input splits, screen pieces), given each
+/// part's bounds. The masses of a partition add up, so the union's lower
+/// bound is the sum of the parts' lowers and its upper the sum of their
+/// uppers. Under sound rounding the sums round outward (fp::sumDown,
+/// fp::sumUp), so the merge itself cannot flip an inequality; otherwise
+/// a plain compensated sum, matching computeProbBounds' own gating (the
+/// directed sums pad by an ulp even when exact, which would break verdict
+/// equality with the one-piece path). Lower is clamped to [0, 1], Upper
+/// to [Lower, 1]; the union is Degraded when any part is.
+ProbBounds boundsOfDisjointUnion(const std::vector<ProbBounds> &Parts);
+
 /// The mass e of one curve piece that lies inside D (exact); exposed for
 /// tests. Proportional to the piece's weight.
 double curveMassInside(const Region &Curve, const OutputSpec &Spec,

@@ -32,6 +32,17 @@ Region makeSegmentRegion(const Tensor &Start, const Tensor &End, double Weight,
   return R;
 }
 
+Region restrictCurve(const Region &Curve, double T0, double T1,
+                     double Weight) {
+  check(Curve.Kind == RegionKind::Curve, "only a curve can be restricted");
+  check(T1 > T0, "restricted parameter interval must be non-degenerate");
+  Region Piece = Curve;
+  Piece.T0 = T0;
+  Piece.T1 = T1;
+  Piece.Weight = Weight;
+  return Piece;
+}
+
 Region makeQuadraticRegion(const Tensor &A0, const Tensor &A1,
                            const Tensor &A2, double Weight, double T0,
                            double T1) {

@@ -81,6 +81,13 @@ Region makeSegmentRegion(const Tensor &Start, const Tensor &End,
                          double Weight = 1.0, double T0 = 0.0,
                          double T1 = 1.0);
 
+/// The curve \p Curve restricted to the global parameter sub-range
+/// [T0, T1] with mass \p Weight: the coefficients are copied, never
+/// re-derived from interpolated endpoints, exactly as a ReLU split makes
+/// its pieces. Every input split, shard and screen piece is built so.
+Region restrictCurve(const Region &Curve, double T0, double T1,
+                     double Weight);
+
 /// Build a quadratic curve region gamma(t) = A0 + A1 t + A2 t^2 from flat
 /// coefficient rows [1, N].
 Region makeQuadraticRegion(const Tensor &A0, const Tensor &A1,

@@ -129,21 +129,26 @@ void screenAffine(const ScreenLayerPlan &Step, std::vector<float> &Lo,
 
 } // namespace
 
-ScreenVerdict screenClassify(const ScreenPlan &Plan, const Tensor &Start,
-                             const Tensor &End, const OutputSpec &Spec) {
-  if (!Plan.Supported)
+ScreenVerdict screenClassify(const ScreenPlan &Plan, const Region &Piece,
+                             const OutputSpec &Spec) {
+  if (!Plan.Supported || Piece.Kind != RegionKind::Curve ||
+      Piece.degree() != 1)
     return ScreenVerdict::Borderline;
-  const int64_t N = Start.numel();
+  const int64_t N = Piece.dim();
   std::vector<float> Lo(static_cast<size_t>(N)), Hi(static_cast<size_t>(N));
   for (int64_t J = 0; J < N; ++J) {
-    // Outward float enclosure of the segment's bounding box, padded like
-    // the double tier's input representation so any round-to-nearest
-    // evaluated point s + t*(e-s) is covered too.
-    const double SLo = std::min(Start[J], End[J]);
-    const double SHi = std::max(Start[J], End[J]);
+    // Outward float enclosure of the piece's bounding box: the line is
+    // monotone, so its range over [T0, T1] lies between the directed
+    // evaluations at the two ends. Padded like the double tier's input
+    // representation so any round-to-nearest evaluated point is covered
+    // too.
+    const double C0 = Piece.Coeffs.at(0, J), C1 = Piece.Coeffs.at(1, J);
+    const double SLo = std::min(fp::addDown(C0, fp::mulDown(C1, Piece.T0)),
+                                fp::addDown(C0, fp::mulDown(C1, Piece.T1)));
+    const double SHi = std::max(fp::addUp(C0, fp::mulUp(C1, Piece.T0)),
+                                fp::addUp(C0, fp::mulUp(C1, Piece.T1)));
     const double Pad = fp::mulUp(
-        8.0 * DBL_EPSILON,
-        fp::addUp(std::fabs(Start[J]), std::fabs(End[J])));
+        8.0 * DBL_EPSILON, fp::addUp(std::fabs(SLo), std::fabs(SHi)));
     Lo[static_cast<size_t>(J)] = fp::floatDown(fp::subDown(SLo, Pad));
     Hi[static_cast<size_t>(J)] = fp::floatUp(fp::addUp(SHi, Pad));
   }

@@ -76,11 +76,11 @@ struct ScreenPlan {
 /// only; anything else marks the plan unsupported).
 ScreenPlan buildScreenPlan(const std::vector<const Layer *> &Layers);
 
-/// Classify the segment piece Start->End (flat [1, N] endpoints) against
-/// \p Spec by float interval propagation through \p Plan. Returns
-/// Borderline whenever no certificate can be established.
-ScreenVerdict screenClassify(const ScreenPlan &Plan, const Tensor &Start,
-                             const Tensor &End, const OutputSpec &Spec);
+/// Classify the segment piece \p Piece (a degree-1 curve over its own
+/// [T0, T1]) against \p Spec by float interval propagation through
+/// \p Plan. Returns Borderline whenever no certificate can be established.
+ScreenVerdict screenClassify(const ScreenPlan &Plan, const Region &Piece,
+                             const OutputSpec &Spec);
 
 } // namespace genprove
 

@@ -2,80 +2,35 @@
 
 #include "src/shard/shard.h"
 
-#include "src/util/fp.h"
+#include "src/shard/supervisor.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace genprove {
-
-std::vector<ShardRange> planShards(int64_t NumShards) {
-  const int64_t N = std::max<int64_t>(NumShards, 1);
-  std::vector<ShardRange> Plan;
-  Plan.reserve(static_cast<size_t>(N));
-  for (int64_t I = 0; I < N; ++I) {
-    ShardRange R;
-    R.Index = I;
-    // Shared boundaries are computed once per cut point (k/N evaluated
-    // identically for shard k-1's T1 and shard k's T0), so the partition
-    // is exactly disjoint and covering in floating point.
-    R.T0 = static_cast<double>(I) / static_cast<double>(N);
-    R.T1 = I + 1 == N ? 1.0 : static_cast<double>(I + 1) / static_cast<double>(N);
-    Plan.push_back(R);
-  }
-  return Plan;
-}
 
 MergedCertificate mergeShardResults(const std::vector<ShardResult> &Results,
                                     int64_t NumSpecs) {
   MergedCertificate Merged;
   Merged.Specs.resize(static_cast<size_t>(std::max<int64_t>(NumSpecs, 0)));
 
-  // One column of partial masses per spec. Under --sound the columns are
-  // summed with the directed Neumaier accumulators — the lower bound can
-  // only round down, the upper only up, so the merge cannot flip an
-  // inequality. Otherwise a plain compensated sum, matching
-  // computeProbBounds' own gating: the directed variant pads by a ULP
-  // even on exact sums, which would break verdict equality with the
-  // single-process path (an exact upper of 0.0 must stay 0.0).
-  const bool Sound = soundRoundingEnabled();
-  const auto PlainSum = [](const std::vector<double> &Values) {
-    double S = 0.0, C = 0.0;
-    for (double V : Values) {
-      const double T = S + V;
-      C += std::fabs(S) >= std::fabs(V) ? (S - T) + V : (V - T) + S;
-      S = T;
-    }
-    return S + C;
-  };
-  std::vector<double> Lowers, Uppers;
-  Lowers.reserve(Results.size());
-  Uppers.reserve(Results.size());
+  std::vector<ProbBounds> Parts;
+  Parts.reserve(Results.size());
   for (int64_t S = 0; S < NumSpecs; ++S) {
-    Lowers.clear();
-    Uppers.clear();
-    bool SpecDegraded = false;
+    Parts.clear();
     for (const ShardResult &R : Results) {
       if (S < static_cast<int64_t>(R.Specs.size())) {
         const ShardSpecBounds &B = R.Specs[static_cast<size_t>(S)];
-        Lowers.push_back(B.Lower);
-        Uppers.push_back(B.Upper);
-        SpecDegraded = SpecDegraded || B.Degraded;
+        Parts.push_back({B.Lower, B.Upper, false, B.Degraded});
       } else {
         // A validated-but-truncated result: this shard's mass is unknown
         // for the spec. Contribute nothing below and everything above —
         // the conservative extreme, same as quarantined mass.
-        Uppers.push_back(1.0);
-        SpecDegraded = true;
+        Parts.push_back({0.0, 1.0, false, true});
       }
     }
     ProbBounds &Out = Merged.Specs[static_cast<size_t>(S)];
-    Out.Lower =
-        std::clamp(Sound ? fp::sumDown(Lowers) : PlainSum(Lowers), 0.0, 1.0);
-    Out.Upper =
-        std::clamp(Sound ? fp::sumUp(Uppers) : PlainSum(Uppers), 0.0, 1.0);
-    Out.Degraded = SpecDegraded;
-    Merged.Degraded = Merged.Degraded || SpecDegraded;
+    Out = boundsOfDisjointUnion(Parts);
+    Merged.Degraded = Merged.Degraded || Out.Degraded;
   }
 
   for (const ShardResult &R : Results) {
@@ -96,7 +51,8 @@ MergedCertificate mergeShardResults(const std::vector<ShardResult> &Results,
     // shard that ran (or fell back) at the interval-box rung reached
     // FullBox; a resilient retry reached at least LocalBox only if its
     // own stats say so, which R.Rung does not imply.
-    if (R.Rung >= 2 || R.FromFallback)
+    if (R.Rung == static_cast<int64_t>(ShardRung::IntervalBox) ||
+        R.FromFallback)
       Merged.Rung = DegradeRung::FullBox;
   }
   // Fold in the worst in-process rung reported by any shard.

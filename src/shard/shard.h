@@ -1,16 +1,15 @@
-//===- shard/shard.h - Region-set sharding and sound merge -----*- C++ -*-===//
+//===- shard/shard.h - Shard results and their sound merge -----*- C++ -*-===//
 ///
 /// \file
-/// Shard partitioning and cross-shard result merging for the supervised
-/// scale-out path (ROADMAP item 4). The exact domain's region lists are
-/// embarrassingly partitionable: the input-parameter interval [0, 1] is cut
-/// into disjoint sub-ranges, each shard propagates its sub-range completely
-/// independently (the same Section 5.2 partition the in-process
-/// `--splits` path uses), and the paper's probability bounds are sums of
-/// per-region masses — so the merged lower/upper bound is just the sum of
-/// the per-shard partial bounds, aggregated with the directed
-/// `sumUp`/`sumDown` accumulators so the merge itself can never flip an
-/// inequality (docs/SOUNDNESS.md).
+/// Per-shard results and the cross-shard merge for the supervised
+/// scale-out path. The exact domain's region lists are embarrassingly
+/// partitionable: shard k of N certifies the full segment restricted to
+/// piece k of planRange(0, 1, N) (core/distribution.h, the same range
+/// planner the in-process `--splits` path uses), completely independently.
+/// The paper's probability bounds are sums of per-region masses, so the
+/// merged bounds are the per-shard partial bounds summed by
+/// boundsOfDisjointUnion (core/spec.h), whose directed sums keep the
+/// merge itself from flipping an inequality (docs/SOUNDNESS.md).
 ///
 /// Nothing here knows about processes; the supervision machinery lives in
 /// shard/supervisor.h and shard/process_launcher.h.
@@ -27,18 +26,6 @@
 #include <vector>
 
 namespace genprove {
-
-/// One shard's slice of the input-parameter interval.
-struct ShardRange {
-  int64_t Index = 0;
-  double T0 = 0.0;
-  double T1 = 1.0;
-};
-
-/// Cut [0, 1] into \p NumShards equal, disjoint, covering sub-ranges
-/// (shard k owns [k/N, (k+1)/N]; the boundaries are exact at the shared
-/// endpoints, so no parameter mass is dropped or double-counted).
-std::vector<ShardRange> planShards(int64_t NumShards);
 
 /// Per-spec partial bounds contributed by one shard: the probability mass
 /// of the shard's sub-range that certainly / possibly satisfies the spec.
@@ -76,10 +63,8 @@ struct ShardResult {
 
 /// The coordinator's view of a completed sharded certification.
 struct MergedCertificate {
-  /// Per-spec merged bounds. Lower is the downward-rounded sum of the
-  /// shard lowers, Upper the upward-rounded sum of the shard uppers, both
-  /// clamped to [0, 1] — sound regardless of rounding mode because the
-  /// shards partition the input mass.
+  /// Per-spec merged bounds: boundsOfDisjointUnion of the shards' partial
+  /// bounds, sound because the shards partition the input mass.
   std::vector<ProbBounds> Specs;
   /// Any shard degraded, fell back, or needed a restart.
   bool Degraded = false;

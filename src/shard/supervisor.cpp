@@ -467,14 +467,11 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
   if (!Screen)
     Cfg.FastScreen = false;
 
-  const std::vector<ShardRange> Ranges = planShards(Ctx.NumShards);
-  const size_t Index =
-      static_cast<size_t>(std::clamp<int64_t>(Plan.Shard, 0,
-                                              static_cast<int64_t>(Ranges.size()) - 1));
-  const ShardRange Range = Ranges[Index];
-
-  const Tensor A = Ctx.Start.reshaped({1, Ctx.Start.numel()});
-  const Tensor B = Ctx.End.reshaped({1, Ctx.End.numel()});
+  const std::vector<double> Cuts = planRange(0.0, 1.0, Ctx.NumShards);
+  const size_t Index = static_cast<size_t>(std::clamp<int64_t>(
+      Plan.Shard, 0, static_cast<int64_t>(Cuts.size()) - 2));
+  const double T0 = Cuts[Index], T1 = Cuts[Index + 1];
+  const GenProve GP(Cfg);
 
   if (Screen) {
     // Two-tier path: per spec, the float32 screen classifies the shard's
@@ -482,7 +479,6 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
     // the sound double tier (GenProve::analyzeSegmentScreened). Every
     // reported bound comes from the sound tier; the screen only decides
     // which pieces need it.
-    const GenProve GP(Cfg);
     ShardResult Out;
     Out.Shard = Plan.Shard;
     Out.Attempt = Plan.Attempt;
@@ -490,7 +486,7 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
     Out.Specs.reserve(Ctx.Specs.size());
     for (const OutputSpec &Spec : Ctx.Specs) {
       const AnalysisResult R = GP.analyzeSegmentScreened(
-          Ctx.Pipeline, Ctx.InputShape, A, B, Spec, Range.T0, Range.T1);
+          Ctx.Pipeline, Ctx.InputShape, Ctx.Start, Ctx.End, Spec, T0, T1);
       Out.Seconds += R.Seconds;
       Out.PeakBytes = std::max(Out.PeakBytes,
                                static_cast<int64_t>(R.PeakBytes));
@@ -511,22 +507,11 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
     }
     return Out;
   }
-  Tensor PartStart({1, A.numel()});
-  Tensor PartEnd({1, A.numel()});
-  for (int64_t J = 0; J < A.numel(); ++J) {
-    PartStart[J] = A[J] + Range.T0 * (B[J] - A[J]);
-    PartEnd[J] = A[J] + Range.T1 * (B[J] - A[J]);
-  }
   const ParamCdf Cdf = makeCdf(Cfg.Distribution);
-  const double Weight = Cdf(Range.T1) - Cdf(Range.T0);
-
-  std::vector<Region> Initial;
-  Initial.push_back(
-      makeSegmentRegion(PartStart, PartEnd, Weight, Range.T0, Range.T1));
-
-  const GenProve GP(Cfg);
-  const PropagatedState State =
-      GP.propagateRegionsFrom(Ctx.Pipeline, Ctx.InputShape, std::move(Initial));
+  const PropagatedState State = GP.propagateRegionsFrom(
+      Ctx.Pipeline, Ctx.InputShape,
+      {restrictCurve(makeSegmentRegion(Ctx.Start, Ctx.End), T0, T1,
+                     Cdf(T1) - Cdf(T0))});
 
   ShardResult Out;
   Out.Shard = Plan.Shard;

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The supervision layer of the sharded certification path (ROADMAP item
-/// 4): a coordinator partitions the input-parameter range with planShards,
+/// 4): a coordinator partitions the input-parameter range with planRange,
 /// hands each shard to a worker through an abstract ShardWorkerLauncher,
 /// and babysits the workers with heartbeats, per-shard deadlines and
 /// exit-status classification. A failed attempt is retried with
@@ -273,7 +273,8 @@ struct ShardWorkContext {
 };
 
 /// Run one attempt: restrict the segment to the shard's parameter
-/// sub-range (same Section 5.2 partition as GenProveConfig::InputSplits),
+/// sub-range (piece Shard of planRange(0, 1, NumShards), the planner
+/// GenProveConfig::InputSplits uses too),
 /// apply the supervision rung, propagate, and project per-spec partial
 /// bounds. Always probabilistic — the deterministic collapse is only
 /// meaningful on the *merged* bounds, so the coordinator applies it after

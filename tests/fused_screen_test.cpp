@@ -403,13 +403,16 @@ TEST(ScreenClassifyTest, InsideOutsideBorderlineOnIdentity) {
   Tensor A({1, 1}), B({1, 1});
   A[0] = 1.0;
   B[0] = 2.0;
-  EXPECT_EQ(screenClassify(Plan, A, B, Spec), ScreenVerdict::Inside);
+  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B), Spec),
+            ScreenVerdict::Inside);
   A[0] = -2.0;
   B[0] = -1.0;
-  EXPECT_EQ(screenClassify(Plan, A, B, Spec), ScreenVerdict::Outside);
+  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B), Spec),
+            ScreenVerdict::Outside);
   A[0] = -1.0;
   B[0] = 1.0;
-  EXPECT_EQ(screenClassify(Plan, A, B, Spec), ScreenVerdict::Borderline);
+  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B), Spec),
+            ScreenVerdict::Borderline);
 }
 
 TEST(ScreenClassifyTest, ConvPipelineIsUnsupported) {
@@ -424,7 +427,8 @@ TEST(ScreenClassifyTest, ConvPipelineIsUnsupported) {
   A[0] = 5.0;
   B[0] = 6.0;
   // Unsupported plans never certify anything.
-  EXPECT_EQ(screenClassify(Plan, A, B, OutputSpec::halfspace(Normal, 0.0)),
+  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B),
+                           OutputSpec::halfspace(Normal, 0.0)),
             ScreenVerdict::Borderline);
 }
 
@@ -447,7 +451,8 @@ TEST(ScreenClassifyTest, TinyMarginStaysBorderline) {
   Tensor A({1, 1}), B({1, 1});
   A[0] = 1e6;
   B[0] = 1e6 + 0.005;
-  EXPECT_EQ(screenClassify(Plan, A, B, Spec), ScreenVerdict::Borderline);
+  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B), Spec),
+            ScreenVerdict::Borderline);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@
 #include "src/shard/protocol.h"
 #include "src/shard/shard.h"
 #include "src/shard/supervisor.h"
+#include "src/util/fp.h"
 #include "src/util/rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -55,22 +57,39 @@ void expectContains(const ProbBounds &Outer, const ProbBounds &Inner) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardPlan, PartitionIsDisjointCoveringAndExact) {
-  for (int64_t N : {1, 2, 3, 4, 7}) {
-    const std::vector<ShardRange> Ranges = planShards(N);
-    ASSERT_EQ(Ranges.size(), static_cast<size_t>(N));
-    EXPECT_EQ(Ranges.front().T0, 0.0);
-    EXPECT_EQ(Ranges.back().T1, 1.0);
-    for (int64_t I = 0; I < N; ++I) {
-      EXPECT_EQ(Ranges[static_cast<size_t>(I)].Index, I);
-      EXPECT_LT(Ranges[static_cast<size_t>(I)].T0,
-                Ranges[static_cast<size_t>(I)].T1);
+  // planRange is the one planner behind shards, input splits, screen
+  // pieces and chain legs; shards and splits cut [0, 1], a screened shard
+  // cuts its own sub-range.
+  const std::vector<std::pair<double, double>> Ranges = {
+      {0.0, 1.0}, {1.0 / 3.0, 2.0 / 3.0}, {0.1, 0.7}};
+  for (const auto &[T0, T1] : Ranges) {
+    for (int64_t N : {1, 2, 3, 7, 32}) {
+      const std::vector<double> Cuts = planRange(T0, T1, N);
+      ASSERT_EQ(Cuts.size(), static_cast<size_t>(N) + 1);
+      // The ends are the range's own doubles, not re-derived ones.
+      EXPECT_EQ(Cuts.front(), T0);
+      EXPECT_EQ(Cuts.back(), T1);
+      // Cut k is T0 + (T1 - T0) * (k / N), and the cuts strictly
+      // increase. Adjacent pieces share one double per cut, so no
+      // parameter mass can fall through or be double-counted.
+      for (int64_t K = 1; K <= N; ++K) {
+        const size_t I = static_cast<size_t>(K);
+        if (K < N) {
+          EXPECT_EQ(Cuts[I], T0 + (T1 - T0) * (static_cast<double>(K) /
+                                               static_cast<double>(N)));
+        }
+        EXPECT_LT(Cuts[I - 1], Cuts[I]);
+      }
     }
-    // Shared cut points are the *same double* on both sides: no parameter
-    // mass can fall through or be double-counted at a boundary.
-    for (int64_t I = 0; I + 1 < N; ++I)
-      EXPECT_EQ(Ranges[static_cast<size_t>(I)].T1,
-                Ranges[static_cast<size_t>(I + 1)].T0);
   }
+  // On [0, 1] cut k is exactly k / N, so the shard pieces of N and of a
+  // divisor of N share their common cuts bit for bit.
+  const std::vector<double> Four = planRange(0.0, 1.0, 4);
+  const std::vector<double> Two = planRange(0.0, 1.0, 2);
+  EXPECT_EQ(Four[2], Two[1]);
+  EXPECT_EQ(Four[1], 0.25);
+  // Degenerate counts plan the whole range as one piece.
+  EXPECT_EQ(planRange(0.0, 1.0, 0), (std::vector<double>{0.0, 1.0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -591,6 +610,18 @@ TEST(ShardMerge, MissingSpecSlotsAreConservative) {
   EXPECT_TRUE(Merged.Degraded);
 }
 
+TEST(ShardMerge, CleanResilientRetryKeepsRungNone) {
+  // A crash followed by a clean retry: the retry ran at the Resilient
+  // supervision rung but never degraded in process, so the in-process
+  // ladder stays at None. Only the interval-box rung maps to FullBox.
+  std::vector<ShardResult> Results(1);
+  Results[0].Rung = static_cast<int64_t>(ShardRung::Resilient);
+  Results[0].Specs.push_back({0.2, 0.5, false});
+  EXPECT_EQ(mergeShardResults(Results, 1).Rung, DegradeRung::None);
+  Results[0].Rung = static_cast<int64_t>(ShardRung::IntervalBox);
+  EXPECT_EQ(mergeShardResults(Results, 1).Rung, DegradeRung::FullBox);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: real propagation through the in-process launcher.
 // ---------------------------------------------------------------------------
@@ -764,6 +795,118 @@ TEST(ShardAttempt, StartAtFullBoxSurvivesATinyBudget) {
     EXPECT_LE(SB.Upper, 1.0);
     EXPECT_LE(SB.Lower, SB.Upper + 1e-12);
   }
+}
+
+TEST(ShardAttempt, OneShardIsBitIdenticalToAnalyzeSegment) {
+  // With one shard the piece is the full segment itself, so every rung's
+  // bounds equal analyzeSegment's under the same resilience settings.
+  const ShardFixture F;
+  for (bool Sound : {false, true}) {
+    SoundRoundingScope Rounding(Sound);
+    for (ShardRung Rung : {ShardRung::Configured, ShardRung::Resilient,
+                           ShardRung::IntervalBox}) {
+      AttemptPlan Plan;
+      Plan.Rung = Rung;
+      const ShardResult R = runShardAttempt(F.context(1), Plan);
+      GenProveConfig Cfg = F.Config;
+      Cfg.Resilience.Enabled = Rung != ShardRung::Configured;
+      Cfg.Resilience.StartAtFullBox = Rung == ShardRung::IntervalBox;
+      ASSERT_EQ(R.Specs.size(), F.Specs.size());
+      for (size_t S = 0; S < F.Specs.size(); ++S) {
+        const ProbBounds B =
+            GenProve(Cfg)
+                .analyzeSegment(F.Pipeline, F.InputShape, F.Start, F.End,
+                                F.Specs[S])
+                .Bounds;
+        EXPECT_EQ(std::bit_cast<uint64_t>(R.Specs[S].Lower),
+                  std::bit_cast<uint64_t>(B.Lower))
+            << shardRungName(Rung) << " sound=" << Sound;
+        EXPECT_EQ(std::bit_cast<uint64_t>(R.Specs[S].Upper),
+                  std::bit_cast<uint64_t>(B.Upper))
+            << shardRungName(Rung) << " sound=" << Sound;
+      }
+    }
+  }
+}
+
+/// An identity layer that records the curve coefficient rows the engine
+/// hands it: offsets through applyAffine, slopes through applyLinear. Its
+/// kind is Conv2d so the float32 screen cannot compile it and every screen
+/// piece reaches the engine as a borderline piece.
+class RecordingIdentity : public Layer {
+public:
+  RecordingIdentity() : Layer(Kind::Conv2d) {}
+  Tensor forward(const Tensor &X) override { return X; }
+  Tensor backward(const Tensor &G) override { return G; }
+  Tensor applyAffine(const Tensor &P) const override {
+    Offsets.push_back(P);
+    return P;
+  }
+  Tensor applyLinear(const Tensor &P) const override {
+    Slopes.push_back(P);
+    return P;
+  }
+  void applyToBox(Tensor &, Tensor &) const override {}
+  Shape outputShape(const Shape &In) const override { return In; }
+  std::string describe() const override { return "RecordingIdentity"; }
+
+  mutable std::vector<Tensor> Offsets, Slopes;
+};
+
+TEST(RangePieces, EverySplitShardAndScreenPieceIsTheFullSegment) {
+  Rng R(404);
+  const Tensor A = Tensor::randn({1, 4}, R, 3.0);
+  const Tensor B = Tensor::randn({1, 4}, R, 3.0);
+  const Region Full = makeSegmentRegion(A, B);
+  const OutputSpec Spec = OutputSpec::argmaxWins(0, 4);
+  const Shape In({1, 4});
+  RecordingIdentity Rec;
+  const std::vector<const Layer *> Pipeline = {&Rec};
+  constexpr int64_t N = 7;
+
+  // Every recorded row must carry the full segment's coefficients bit for
+  // bit: no piece endpoint is ever interpolated.
+  const auto ExpectPieces = [&](const char *What) {
+    for (const auto &[Rows, Degree] :
+         {std::pair{&Rec.Offsets, 0}, std::pair{&Rec.Slopes, 1}}) {
+      int64_t NumRows = 0;
+      for (const Tensor &T : *Rows)
+        for (int64_t Row = 0; Row < T.dim(0); ++Row, ++NumRows)
+          for (int64_t J = 0; J < 4; ++J)
+            EXPECT_EQ(std::bit_cast<uint64_t>(T.at(Row, J)),
+                      std::bit_cast<uint64_t>(Full.Coeffs.at(Degree, J)))
+                << What << " row " << NumRows << " degree " << Degree;
+      EXPECT_EQ(NumRows, N) << What;
+      Rows->clear();
+    }
+  };
+
+  GenProveConfig Split;
+  Split.InputSplits = N;
+  GenProve(Split).propagateSegment(Pipeline, In, A, B);
+  ExpectPieces("split");
+
+  ShardWorkContext Ctx;
+  Ctx.Pipeline = Pipeline;
+  Ctx.InputShape = In;
+  Ctx.Start = A;
+  Ctx.End = B;
+  Ctx.Specs = {Spec};
+  Ctx.NumShards = N;
+  for (int64_t K = 0; K < N; ++K) {
+    AttemptPlan Plan;
+    Plan.Shard = K;
+    runShardAttempt(Ctx, Plan);
+  }
+  ExpectPieces("shard");
+
+  GenProveConfig Screen;
+  Screen.FastScreen = true;
+  Screen.ScreenSplits = N;
+  const AnalysisResult S =
+      GenProve(Screen).analyzeSegment(Pipeline, In, A, B, Spec);
+  EXPECT_EQ(S.ScreenedBorderline, N);
+  ExpectPieces("screen");
 }
 
 // ---------------------------------------------------------------------------

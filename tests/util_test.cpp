@@ -1,5 +1,6 @@
 //===- tests/util_test.cpp - util module unit tests -------------*- C++ -*-===//
 
+#include "src/util/parse.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -8,9 +9,43 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace genprove {
 namespace {
+
+TEST(Parse, OnlyWholeNumericTokensParse) {
+  int64_t I = 7;
+  EXPECT_TRUE(parseInt("-3", I));
+  EXPECT_EQ(I, -3);
+  for (const char *Bad : {"", "abc", "3x", "1.5", "99999999999999999999"}) {
+    I = 7;
+    EXPECT_FALSE(parseInt(Bad, I)) << Bad;
+    EXPECT_EQ(I, 7) << Bad; // untouched on failure
+  }
+
+  uint64_t U = 7;
+  EXPECT_TRUE(parseInt("18446744073709551615", U));
+  EXPECT_EQ(U, std::numeric_limits<uint64_t>::max());
+  for (const char *Bad :
+       {"", "-1", "+1", " 1", "1e3", "18446744073709551616"}) {
+    U = 7;
+    EXPECT_FALSE(parseInt(Bad, U)) << Bad;
+    EXPECT_EQ(U, 7u) << Bad;
+  }
+
+  double D = 7.0;
+  EXPECT_TRUE(parseReal("0.02", D));
+  EXPECT_EQ(D, 0.02);
+  EXPECT_TRUE(parseReal("-1e-3", D));
+  EXPECT_EQ(D, -1e-3);
+  for (const char *Bad : {"", "abc", "0.5x", "inf", "nan", "1e999"}) {
+    D = 7.0;
+    EXPECT_FALSE(parseReal(Bad, D)) << Bad;
+    EXPECT_EQ(D, 7.0) << Bad;
+  }
+}
 
 TEST(Rng, DeterministicGivenSeed) {
   Rng A(42), B(42);

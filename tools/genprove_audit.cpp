@@ -21,11 +21,13 @@
 #include "src/audit/audit.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/util/parse.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <type_traits>
 
 using namespace genprove;
 
@@ -46,6 +48,21 @@ namespace {
   std::exit(2);
 }
 
+/// A numeric flag value of type T; anything but one complete numeric
+/// token is a usage error (exit 2), never an uncaught exception.
+template <typename T>
+T numArg(const std::string &Flag, const std::string &Text) {
+  T V{};
+  bool Ok;
+  if constexpr (std::is_floating_point_v<T>)
+    Ok = parseReal(Text, V);
+  else
+    Ok = parseInt(Text, V);
+  if (!Ok)
+    usage(("bad value '" + Text + "' for " + Flag).c_str());
+  return V;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -60,9 +77,9 @@ int main(int Argc, char **Argv) {
       return Argv[++I];
     };
     if (Arg == "--samples")
-      Config.SamplesPerModel = std::stoll(Next());
+      Config.SamplesPerModel = numArg<int64_t>(Arg, Next());
     else if (Arg == "--seed")
-      Config.Seed = std::stoull(Next());
+      Config.Seed = numArg<uint64_t>(Arg, Next());
     else if (Arg == "--no-differential")
       Config.Differential = false;
     else if (Arg == "--report-out")

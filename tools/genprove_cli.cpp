@@ -56,6 +56,7 @@
 #include "src/shard/process_launcher.h"
 #include "src/shard/protocol.h"
 #include "src/shard/supervisor.h"
+#include "src/util/parse.h"
 #include "src/util/table.h"
 
 #include <algorithm>
@@ -70,6 +71,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -197,6 +199,21 @@ namespace {
   std::exit(2);
 }
 
+/// A numeric flag value of type T; anything but one complete numeric
+/// token is a usage error (exit 2), never an uncaught exception.
+template <typename T>
+T numArg(const std::string &Flag, const std::string &Text) {
+  T V{};
+  bool Ok;
+  if constexpr (std::is_floating_point_v<T>)
+    Ok = parseReal(Text, V);
+  else
+    Ok = parseInt(Text, V);
+  if (!Ok)
+    usage(("bad value '" + Text + "' for " + Flag).c_str());
+  return V;
+}
+
 Tensor readVector(const std::string &Path) {
   std::ifstream In(Path);
   if (!In)
@@ -241,7 +258,7 @@ Shape parseShape(const std::string &Text) {
   std::istringstream In(Text);
   std::string Part;
   while (std::getline(In, Part, 'x'))
-    Dims.push_back(std::stoll(Part));
+    Dims.push_back(numArg<int64_t>("--input-shape", Part));
   if (Dims.empty())
     usage("bad --input-shape");
   return Shape(Dims);
@@ -354,11 +371,11 @@ WorkerFaultPlan parseWorkerFault(const std::string &Text) {
     usage("bad --inject-worker-fault mode (crash|hang|oomkill|slow)");
   if (!std::getline(In, Part, ':'))
     usage("--inject-worker-fault needs a shard index");
-  Plan.Shard = std::stoll(Part);
+  Plan.Shard = numArg<int64_t>("--inject-worker-fault", Part);
   if (std::getline(In, Part, ':'))
-    Plan.Attempts = std::stoll(Part);
+    Plan.Attempts = numArg<int64_t>("--inject-worker-fault", Part);
   if (std::getline(In, Part, ':'))
-    Plan.Millis = std::stod(Part);
+    Plan.Millis = numArg<double>("--inject-worker-fault", Part);
   if (Plan.Mode == "slow" && Plan.Millis >= 600000)
     Plan.Millis = 2000; // a kill -9 window, not an eternity
   Plan.Active = true;
@@ -482,33 +499,34 @@ int main(int Argc, char **Argv) {
       // Coordinator/local-only: the cache is per-process, and the sharded
       // paths are excluded from batching anyway.
       PropagationCache::global().configure(
-          static_cast<size_t>(std::stoull(Next())) << 20);
+          static_cast<size_t>(numArg<uint64_t>(Arg, Next())) << 20);
     } else if (Arg == "--spec") {
       const std::string V = Next();
       SpecTexts.push_back(V);
       Forward({Arg, V});
     } else if (Arg == "--threads") {
-      ThreadsGiven = std::stoll(Next());
+      ThreadsGiven = numArg<int64_t>(Arg, Next());
       ThreadPool::global().setThreads(ThreadsGiven);
     } else if (Arg == "--p") {
       const std::string V = Next();
-      Config.RelaxPercent = std::stod(V);
+      Config.RelaxPercent = numArg<double>(Arg, V);
       Forward({Arg, V});
     } else if (Arg == "--k") {
       const std::string V = Next();
-      Config.ClusterK = std::stod(V);
+      Config.ClusterK = numArg<double>(Arg, V);
       Forward({Arg, V});
     } else if (Arg == "--threshold") {
       const std::string V = Next();
-      Config.NodeThreshold = std::stoll(V);
+      Config.NodeThreshold = numArg<int64_t>(Arg, V);
       Forward({Arg, V});
     } else if (Arg == "--budget-mb") {
       Config.MemoryBudgetBytes =
-          static_cast<size_t>(std::stoull(Next())) << 20;
+          static_cast<size_t>(numArg<uint64_t>(Arg, Next())) << 20;
     } else if (Arg == "--budget-bytes") {
       // Byte-granular budget, used when the coordinator forwards each
       // worker its exact per-shard slice.
-      Config.MemoryBudgetBytes = static_cast<size_t>(std::stoull(Next()));
+      Config.MemoryBudgetBytes =
+          static_cast<size_t>(numArg<uint64_t>(Arg, Next()));
     } else if (Arg == "--deterministic") {
       Config.Mode = AnalysisMode::Deterministic;
     } else if (Arg == "--sound") {
@@ -519,7 +537,7 @@ int main(int Argc, char **Argv) {
       Forward({Arg});
     } else if (Arg == "--screen-splits") {
       const std::string V = Next();
-      Config.ScreenSplits = std::stoll(V);
+      Config.ScreenSplits = numArg<int64_t>(Arg, V);
       if (Config.ScreenSplits < 1)
         usage("--screen-splits wants N >= 1");
       Forward({Arg, V});
@@ -527,7 +545,9 @@ int main(int Argc, char **Argv) {
       Config.Distribution = ParamDistribution::Arcsine;
       Forward({Arg});
     } else if (Arg == "--splits") {
-      Config.InputSplits = std::stoll(Next());
+      Config.InputSplits = numArg<int64_t>(Arg, Next());
+      if (Config.InputSplits < 1)
+        usage("--splits wants N >= 1");
       SplitsGiven = true;
     } else if (Arg == "--schedule") {
       const std::string V = Next();
@@ -540,44 +560,44 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--deadline-ms") {
       const std::string V = Next();
       Config.Resilience.Enabled = true;
-      Config.Resilience.DeadlineSeconds = std::stod(V) / 1000.0;
+      Config.Resilience.DeadlineSeconds = numArg<double>(Arg, V) / 1000.0;
       Forward({Arg, V});
     } else if (Arg == "--shards") {
-      Shards = std::stoll(Next());
+      Shards = numArg<int64_t>(Arg, Next());
       if (Shards < 1)
         usage("--shards wants N >= 1");
     } else if (Arg == "--shard-worker") {
-      ShardWorker = std::stoll(Next());
+      ShardWorker = numArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-attempt") {
-      ShardAttempt = std::stoll(Next());
+      ShardAttempt = numArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-rung") {
-      ShardRungFlag = std::stoll(Next());
+      ShardRungFlag = numArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-retries") {
-      ShardRetries = std::stoll(Next());
+      ShardRetries = numArg<int64_t>(Arg, Next());
     } else if (Arg == "--shard-deadline-ms") {
-      ShardDeadlineMs = std::stod(Next());
+      ShardDeadlineMs = numArg<double>(Arg, Next());
     } else if (Arg == "--shard-heartbeat-ms") {
       const std::string V = Next();
-      ShardHeartbeatMs = std::stod(V);
+      ShardHeartbeatMs = numArg<double>(Arg, V);
       Forward({Arg, V});
     } else if (Arg == "--inject-oom-layer") {
       const std::string V = Next();
-      Faults.OomAtLayer = std::stoll(V);
+      Faults.OomAtLayer = numArg<int64_t>(Arg, V);
       HaveFaults = true;
       Forward({Arg, V});
     } else if (Arg == "--inject-oom-count") {
       const std::string V = Next();
-      Faults.OomFireCount = std::stoll(V);
+      Faults.OomFireCount = numArg<int64_t>(Arg, V);
       HaveFaults = true;
       Forward({Arg, V});
     } else if (Arg == "--inject-nan-layer") {
       const std::string V = Next();
-      Faults.NanAtLayer = std::stoll(V);
+      Faults.NanAtLayer = numArg<int64_t>(Arg, V);
       HaveFaults = true;
       Forward({Arg, V});
     } else if (Arg == "--clock-skew-ms") {
       const std::string V = Next();
-      Faults.ClockSkewSecondsPerLayer = std::stod(V) / 1000.0;
+      Faults.ClockSkewSecondsPerLayer = numArg<double>(Arg, V) / 1000.0;
       HaveFaults = true;
       Forward({Arg, V});
     } else if (Arg == "--inject-worker-fault") {

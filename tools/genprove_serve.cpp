@@ -31,6 +31,7 @@
 #include "src/shard/protocol.h"
 #include "src/shard/supervisor.h"
 #include "src/util/fp.h"
+#include "src/util/parse.h"
 
 #include <algorithm>
 #include <atomic>
@@ -43,6 +44,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -122,6 +124,21 @@ namespace {
       "  --log-capacity N      in-memory log ring size (default 8192)\n"
       "  --run-id ID           run id stamped on every log line\n");
   std::exit(2);
+}
+
+/// A numeric flag value of type T; anything but one complete numeric
+/// token is a usage error (exit 2), never an uncaught exception.
+template <typename T>
+T numArg(const std::string &Flag, const std::string &Text) {
+  T V{};
+  bool Ok;
+  if constexpr (std::is_floating_point_v<T>)
+    Ok = parseReal(Text, V);
+  else
+    Ok = parseInt(Text, V);
+  if (!Ok)
+    usage(("bad value '" + Text + "' for " + Flag).c_str());
+  return V;
 }
 
 std::string makeRunId() {
@@ -314,46 +331,47 @@ int main(int Argc, char **Argv) {
       NetSpecs.push_back(NextArg(I));
     } else if (Arg == "--budget-mb") {
       Cfg.Admission.BudgetBytes =
-          static_cast<size_t>(std::stoull(NextArg(I))) << 20;
+          static_cast<size_t>(numArg<uint64_t>(Arg, NextArg(I))) << 20;
     } else if (Arg == "--max-concurrent") {
-      Cfg.Admission.MaxConcurrent = std::stoll(NextArg(I));
+      Cfg.Admission.MaxConcurrent = numArg<int64_t>(Arg, NextArg(I));
     } else if (Arg == "--max-queue") {
-      Cfg.Admission.MaxQueue = std::stoll(NextArg(I));
+      Cfg.Admission.MaxQueue = numArg<int64_t>(Arg, NextArg(I));
     } else if (Arg == "--queue-wait-ms") {
-      Cfg.Admission.MaxQueueWaitSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.Admission.MaxQueueWaitSeconds =
+          numArg<double>(Arg, NextArg(I)) / 1000.0;
     } else if (Arg == "--max-connections") {
-      Cfg.MaxConnections = std::stoll(NextArg(I));
+      Cfg.MaxConnections = numArg<int64_t>(Arg, NextArg(I));
     } else if (Arg == "--max-line-bytes") {
-      Cfg.MaxLineBytes = static_cast<size_t>(std::stoull(NextArg(I)));
+      Cfg.MaxLineBytes = static_cast<size_t>(numArg<uint64_t>(Arg, NextArg(I)));
     } else if (Arg == "--resilient-floor-ms") {
-      Cfg.Qos.ResilientFloorSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.Qos.ResilientFloorSeconds = numArg<double>(Arg, NextArg(I)) / 1000.0;
     } else if (Arg == "--box-floor-ms") {
-      Cfg.Qos.BoxFloorSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.Qos.BoxFloorSeconds = numArg<double>(Arg, NextArg(I)) / 1000.0;
     } else if (Arg == "--default-run-ms") {
-      Cfg.Qos.DefaultRunSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.Qos.DefaultRunSeconds = numArg<double>(Arg, NextArg(I)) / 1000.0;
     } else if (Arg == "--isolate") {
       Cfg.Isolate = true;
     } else if (Arg == "--request-retries") {
-      Cfg.RequestRetries = std::stoll(NextArg(I));
+      Cfg.RequestRetries = numArg<int64_t>(Arg, NextArg(I));
     } else if (Arg == "--heartbeat-ms") {
-      Cfg.HeartbeatTimeoutSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.HeartbeatTimeoutSeconds = numArg<double>(Arg, NextArg(I)) / 1000.0;
     } else if (Arg == "--write-timeout-ms") {
-      Cfg.WriteTimeoutSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.WriteTimeoutSeconds = numArg<double>(Arg, NextArg(I)) / 1000.0;
     } else if (Arg == "--drain-deadline-ms") {
-      Cfg.DrainDeadlineSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.DrainDeadlineSeconds = numArg<double>(Arg, NextArg(I)) / 1000.0;
     } else if (Arg == "--coalesce-window-ms") {
-      Cfg.CoalesceWindowSeconds = std::stod(NextArg(I)) / 1000.0;
+      Cfg.CoalesceWindowSeconds = numArg<double>(Arg, NextArg(I)) / 1000.0;
     } else if (Arg == "--coalesce-max-batch") {
-      Cfg.CoalesceMaxBatch = std::stoll(NextArg(I));
+      Cfg.CoalesceMaxBatch = numArg<int64_t>(Arg, NextArg(I));
     } else if (Arg == "--cache-mb") {
       PropagationCache::global().configure(
-          static_cast<size_t>(std::stoull(NextArg(I))) << 20);
+          static_cast<size_t>(numArg<uint64_t>(Arg, NextArg(I))) << 20);
     } else if (Arg == "--allow-inject") {
       Cfg.AllowInject = true;
     } else if (Arg == "--sound") {
       Cfg.SoundMode = true;
     } else if (Arg == "--threads") {
-      ThreadPool::global().setThreads(std::stoll(NextArg(I)));
+      ThreadPool::global().setThreads(numArg<int64_t>(Arg, NextArg(I)));
     } else if (Arg == "--metrics-out") {
       MetricsOutPath = NextArg(I);
     } else if (Arg == "--prom-out") {
@@ -363,7 +381,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--trace-out") {
       TraceOutPath = NextArg(I);
     } else if (Arg == "--log-capacity") {
-      LogCapacity = std::stoll(NextArg(I));
+      LogCapacity = numArg<int64_t>(Arg, NextArg(I));
     } else if (Arg == "--run-id") {
       RunId = NextArg(I);
     } else if (Arg == "--worker-request") {
@@ -371,9 +389,9 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--shard-worker") {
       NextArg(I); // always shard 0; consumed for launcher compatibility
     } else if (Arg == "--shard-attempt") {
-      WorkerAttempt = std::stoll(NextArg(I));
+      WorkerAttempt = numArg<int64_t>(Arg, NextArg(I));
     } else if (Arg == "--shard-rung") {
-      WorkerRung = std::stoll(NextArg(I));
+      WorkerRung = numArg<int64_t>(Arg, NextArg(I));
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
     } else {
