@@ -30,7 +30,12 @@
 // fused-kernel-smoke job records them, with BM_PropagateLayerPair and
 // BM_TwoTier, into BENCH_kernels.json and gates BM_LinearBox >= 1.3x over
 // BM_LinearBoxDotForm at threads=1 (min cpu_time over the repetitions):
-//   micro_kernels --benchmark_filter='BM_LinearBox|BM_PropagateLayerPair|BM_TwoTier' \
+// BM_ConvTranspose2d / BM_ConvTranspose2dScatter do the same for the
+// decoder's two transposed convolutions: the phase-split zero-skipping
+// GEMM against the scatter loop it replaced (bit-identical outputs), on
+// half-zero post-ReLU inputs. The same CI step gates the GEMM >= 2x over
+// the scatter loop at threads=1 on both layers. The full recorded set is
+//   micro_kernels --benchmark_filter='BM_LinearBox|BM_PropagateLayerPair|BM_TwoTier|BM_ConvTranspose2d' \
 //                 --benchmark_repetitions=3 \
 //                 --benchmark_out=BENCH_kernels.json --benchmark_out_format=json
 //
@@ -168,31 +173,105 @@ BENCHMARK(BM_Conv2d)
     ->Args({16, 4})
     ->Args({64, 4});
 
-void BM_ConvTranspose2d(benchmark::State &State) {
-  const int64_t Batch = State.range(0);
-  PoolScope Scope(State.range(1));
-  Rng R(3);
+/// The decoder's two transposed convolutions (makeDecoder): layer 0 is
+/// 32->16, k3 s2 p1 op1 on 8x8; layer 1 is 16->3, k3 s1 p1 on 16x16.
+/// Inputs are post-ReLU traffic: about half of them are zero.
+struct DecoderConvT {
   ConvGeometry G;
-  G.InChannels = 32;
-  G.OutChannels = 16;
-  G.KernelH = G.KernelW = 3;
-  G.Stride = 2;
-  G.Padding = 1;
-  G.OutputPadding = 1;
-  Tensor In = Tensor::randn({Batch, 32, 8, 8}, R);
-  Tensor W = Tensor::randn({32, 16, 3, 3}, R);
-  Tensor B = Tensor::randn({16}, R);
+  Tensor In, W, B;
+};
+
+DecoderConvT decoderConvT(int64_t Layer, int64_t Batch) {
+  Rng R(3);
+  DecoderConvT D;
+  D.G.InChannels = Layer == 0 ? 32 : 16;
+  D.G.OutChannels = Layer == 0 ? 16 : 3;
+  D.G.KernelH = D.G.KernelW = 3;
+  D.G.Stride = Layer == 0 ? 2 : 1;
+  D.G.Padding = 1;
+  D.G.OutputPadding = Layer == 0 ? 1 : 0;
+  const int64_t Size = Layer == 0 ? 8 : 16;
+  D.In = relu(Tensor::randn({Batch, D.G.InChannels, Size, Size}, R));
+  D.W = Tensor::randn({D.G.InChannels, D.G.OutChannels, 3, 3}, R);
+  D.B = Tensor::randn({D.G.OutChannels}, R);
+  return D;
+}
+
+/// The scatter loop convTranspose2d ran before the phase-split GEMM, kept
+/// here as the reference BM_ConvTranspose2d is gated against: serial per
+/// sample, zero inputs skipped by a branch. Bit-identical outputs.
+Tensor scatterConvTranspose(const Tensor &Input, const Tensor &Weight,
+                            const Tensor &Bias, const ConvGeometry &Geom) {
+  const int64_t N = Input.dim(0), C = Input.dim(1), H = Input.dim(2),
+                W = Input.dim(3);
+  const auto [OH, OW] = Geom.convTransposeOutput(H, W);
+  const int64_t OC = Geom.OutChannels;
+  Tensor Output({N, OC, OH, OW});
+  for (int64_t Sample = 0; Sample < N; ++Sample)
+    for (int64_t Oc = 0; Oc < OC; ++Oc)
+      for (int64_t P = 0; P < OH * OW; ++P)
+        Output.data()[(Sample * OC + Oc) * OH * OW + P] = Bias[Oc];
+  const double *Wd = Weight.data();
+  for (int64_t Sample = 0; Sample < N; ++Sample) {
+    const double *In = Input.data() + Sample * C * H * W;
+    double *Out = Output.data() + Sample * OC * OH * OW;
+    for (int64_t Ic = 0; Ic < C; ++Ic)
+      for (int64_t Ih = 0; Ih < H; ++Ih)
+        for (int64_t Iw = 0; Iw < W; ++Iw) {
+          const double V = In[(Ic * H + Ih) * W + Iw];
+          if (V == 0.0)
+            continue;
+          for (int64_t Oc = 0; Oc < OC; ++Oc) {
+            const double *Kslice =
+                Wd + ((Ic * OC + Oc) * Geom.KernelH) * Geom.KernelW;
+            for (int64_t Kh = 0; Kh < Geom.KernelH; ++Kh) {
+              const int64_t Oh = Ih * Geom.Stride - Geom.Padding + Kh;
+              if (Oh < 0 || Oh >= OH)
+                continue;
+              for (int64_t Kw = 0; Kw < Geom.KernelW; ++Kw) {
+                const int64_t Ow = Iw * Geom.Stride - Geom.Padding + Kw;
+                if (Ow < 0 || Ow >= OW)
+                  continue;
+                Out[(Oc * OH + Oh) * OW + Ow] +=
+                    V * Kslice[Kh * Geom.KernelW + Kw];
+              }
+            }
+          }
+        }
+  }
+  return Output;
+}
+
+void BM_ConvTranspose2d(benchmark::State &State) {
+  PoolScope Scope(State.range(2));
+  const DecoderConvT D = decoderConvT(State.range(0), State.range(1));
   for (auto _ : State) {
-    Tensor Out = convTranspose2d(In, W, B, G);
+    Tensor Out = convTranspose2d(D.In, D.W, D.B, D.G);
     benchmark::DoNotOptimize(Out.data());
   }
-  State.SetItemsProcessed(State.iterations() * Batch);
+  State.SetItemsProcessed(State.iterations() * State.range(1));
 }
 BENCHMARK(BM_ConvTranspose2d)
-    ->ArgNames({"batch", "threads"})
-    ->Args({1, 1})
-    ->Args({16, 1})
-    ->Args({16, 4});
+    ->ArgNames({"layer", "batch", "threads"})
+    ->Args({0, 1, 1})
+    ->Args({0, 16, 1})
+    ->Args({0, 16, 4})
+    ->Args({1, 1, 1})
+    ->Args({1, 16, 1})
+    ->Args({1, 16, 4});
+
+void BM_ConvTranspose2dScatter(benchmark::State &State) {
+  const DecoderConvT D = decoderConvT(State.range(0), State.range(1));
+  for (auto _ : State) {
+    Tensor Out = scatterConvTranspose(D.In, D.W, D.B, D.G);
+    benchmark::DoNotOptimize(Out.data());
+  }
+  State.SetItemsProcessed(State.iterations() * State.range(1));
+}
+BENCHMARK(BM_ConvTranspose2dScatter)
+    ->ArgNames({"layer", "batch"})
+    ->Args({0, 16})
+    ->Args({1, 16});
 
 /// Grid-cell style concurrency: independent propagations through
 /// independent networks fanned out over the pool, the same shape as

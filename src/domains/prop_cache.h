@@ -14,8 +14,8 @@
 /// domain and input-distribution tags), the input activation shape, and
 /// the bit patterns of every input region — and Chain[i+1] extends
 /// Chain[i] with layer i's fingerprint (structure plus parameter bits,
-/// memoized against the layer's AbsWeightCache generation, see
-/// nn/layer.h). Chain[i] therefore names the exact abstract state at the
+/// memoized against the layer's ParamGeneration, see nn/layer.h and
+/// nn/abs_cache.h). Chain[i] therefore names the exact abstract state at the
 /// boundary entering layer i. Two chains share a prefix exactly when a
 /// cold recomputation would be bit-identical over that prefix, which is
 /// the equivalence the engine's determinism contract guarantees — so a

@@ -8,12 +8,13 @@
 ///    fingerprint (what the propagation cache keys on) memoized against
 ///    it. Every parameterized layer owns one.
 ///  * AbsWeightCache: a ParamGeneration that also memoizes the elementwise
-///    |W| the convolution layers feed to their interval (box) kernels.
-///    Every applyToBox used to clone + fabs the weight tensor per call,
-///    which on deep decoders re-did the same O(|W|) work thousands of
-///    times per certification run; the cache builds |W| once and rebuilds
-///    only after an invalidate(). Linear needs no such copy: its
-///    transposed-layout kernels take |W| on the fly.
+///    |W| that Conv2d feeds to its interval (box) kernel, so applyToBox
+///    does not clone + fabs the weight tensor on every call; the cache
+///    builds |W| once and rebuilds only after an invalidate(). Only
+///    Conv2d still keeps this resident copy. Linear and ConvTranspose2d
+///    take |W| on the fly — Linear in its transposed-layout kernels,
+///    ConvTranspose2d while it packs its per-phase weight matrices — so
+///    they own a bare ParamGeneration.
 ///
 /// Invalidation contract: the owning layer bumps the generation from every
 /// path that can hand out mutable parameter access (the non-const

@@ -16,7 +16,8 @@ public:
 
   Tensor forward(const Tensor &Input) override;
   Tensor backward(const Tensor &GradOutput) override;
-  Shape outputShape(const Shape &InputShape) const override {
+  std::optional<Shape> tryOutputShape(const Shape &InputShape,
+                                      std::string &) const override {
     return InputShape;
   }
   std::string describe() const override { return "ReLU"; }

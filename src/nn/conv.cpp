@@ -49,10 +49,19 @@ std::vector<Param> Conv2d::params() {
   return {{&Weight, &GradWeight, "weight"}, {&Bias, &GradBias, "bias"}};
 }
 
-Shape Conv2d::outputShape(const Shape &InputShape) const {
-  check(InputShape.rank() == 4 && InputShape.dim(1) == Geom.InChannels,
-        "Conv2d input shape mismatch");
+std::optional<Shape> Conv2d::tryOutputShape(const Shape &InputShape,
+                                            std::string &Error) const {
+  if (InputShape.rank() != 4 || InputShape.dim(1) != Geom.InChannels) {
+    Error = describe() + " expects [N, " + std::to_string(Geom.InChannels) +
+            ", H, W] input, got " + InputShape.toString();
+    return std::nullopt;
+  }
   const auto [OH, OW] = Geom.convOutput(InputShape.dim(2), InputShape.dim(3));
+  if (OH <= 0 || OW <= 0) {
+    Error = describe() + " output size is not positive for input " +
+            InputShape.toString();
+    return std::nullopt;
+  }
   return Shape({InputShape.dim(0), Geom.OutChannels, OH, OW});
 }
 

@@ -24,7 +24,8 @@ public:
     return Geom.InChannels * Geom.KernelH * Geom.KernelW + 1;
   }
   std::vector<Param> params() override;
-  Shape outputShape(const Shape &InputShape) const override;
+  std::optional<Shape> tryOutputShape(const Shape &InputShape,
+                                      std::string &Error) const override;
   std::string describe() const override;
   uint64_t fingerprint() const override {
     return AbsCache.paramFingerprint(Layer::fingerprint(), {&Weight, &Bias});

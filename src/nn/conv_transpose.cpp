@@ -42,21 +42,30 @@ Tensor ConvTranspose2d::applyLinear(const Tensor &Points) const {
 
 void ConvTranspose2d::applyToBox(Tensor &Center, Tensor &Radius) const {
   Center = convTranspose2d(Center, Weight, Bias, Geom);
-  // |W| scatter with no bias == convTranspose2dAbs, minus the per-call
-  // elementwise fabs of every weight use.
-  Radius = convTranspose2d(Radius, AbsCache.get(Weight), Tensor(), Geom);
+  // |W| is taken once per call, while the kernel packs its phase weights.
+  Radius = convTranspose2dAbs(Radius, Weight, Geom);
 }
 
 std::vector<Param> ConvTranspose2d::params() {
-  AbsCache.invalidate(); // optimizers mutate through the returned pointers
+  Generation.invalidate(); // optimizers mutate through the returned pointers
   return {{&Weight, &GradWeight, "weight"}, {&Bias, &GradBias, "bias"}};
 }
 
-Shape ConvTranspose2d::outputShape(const Shape &InputShape) const {
-  check(InputShape.rank() == 4 && InputShape.dim(1) == Geom.InChannels,
-        "ConvTranspose2d input shape mismatch");
+std::optional<Shape>
+ConvTranspose2d::tryOutputShape(const Shape &InputShape,
+                                std::string &Error) const {
+  if (InputShape.rank() != 4 || InputShape.dim(1) != Geom.InChannels) {
+    Error = describe() + " expects [N, " + std::to_string(Geom.InChannels) +
+            ", H, W] input, got " + InputShape.toString();
+    return std::nullopt;
+  }
   const auto [OH, OW] =
       Geom.convTransposeOutput(InputShape.dim(2), InputShape.dim(3));
+  if (OH <= 0 || OW <= 0) {
+    Error = describe() + " output size is not positive for input " +
+            InputShape.toString();
+    return std::nullopt;
+  }
   return Shape({InputShape.dim(0), Geom.OutChannels, OH, OW});
 }
 

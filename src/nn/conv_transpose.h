@@ -27,21 +27,22 @@ public:
     return Geom.InChannels * Geom.KernelH * Geom.KernelW + 1;
   }
   std::vector<Param> params() override;
-  Shape outputShape(const Shape &InputShape) const override;
+  std::optional<Shape> tryOutputShape(const Shape &InputShape,
+                                      std::string &Error) const override;
   std::string describe() const override;
   uint64_t fingerprint() const override {
-    return AbsCache.paramFingerprint(Layer::fingerprint(), {&Weight, &Bias});
+    return Generation.paramFingerprint(Layer::fingerprint(), {&Weight, &Bias});
   }
 
   const ConvGeometry &geometry() const { return Geom; }
-  // Mutable parameter access invalidates the memoized |W| (see
+  // Mutable parameter access advances the parameter generation (see
   // nn/abs_cache.h for the contract).
   Tensor &weight() {
-    AbsCache.invalidate();
+    Generation.invalidate();
     return Weight;
   }
   Tensor &bias() {
-    AbsCache.invalidate();
+    Generation.invalidate();
     return Bias;
   }
   const Tensor &weight() const { return Weight; }
@@ -54,7 +55,7 @@ private:
   Tensor GradWeight;
   Tensor GradBias;
   Tensor CachedInput;
-  AbsWeightCache AbsCache;
+  ParamGeneration Generation;
 };
 
 } // namespace genprove

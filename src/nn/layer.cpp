@@ -17,6 +17,14 @@ uint64_t Layer::fingerprint() const {
   return hashing::hashString(H, describe());
 }
 
+Shape Layer::outputShape(const Shape &InputShape) const {
+  std::string Error;
+  std::optional<Shape> Out = tryOutputShape(InputShape, Error);
+  if (!Out)
+    fatalError(Error);
+  return *Out;
+}
+
 void Layer::applyToBoxSound(Tensor &Center, Tensor &Radius) const {
   const int64_t Depth = accumulationDepth();
   if (Depth <= 0) {

@@ -23,6 +23,7 @@
 #include "src/tensor/tensor.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,8 +113,17 @@ public:
   /// accessor or setter is guaranteed to change the fingerprint.
   virtual uint64_t fingerprint() const;
 
-  /// Output activation shape (including batch dim) for a given input shape.
-  virtual Shape outputShape(const Shape &InputShape) const = 0;
+  /// The layer's shape rule: the output activation shape (batch dim
+  /// included) for \p InputShape, or std::nullopt with \p Error set to
+  /// why the layer cannot take that shape. Never aborts, so input
+  /// boundaries (the CLI's --input-shape, serve requests) can reject a
+  /// mis-shaped input cleanly; see pipelineShapeError in nn/sequential.h.
+  virtual std::optional<Shape> tryOutputShape(const Shape &InputShape,
+                                              std::string &Error) const = 0;
+
+  /// tryOutputShape for a shape already known to fit: a mismatch is a
+  /// fatal error.
+  Shape outputShape(const Shape &InputShape) const;
 
   /// Human-readable description, e.g. "Conv2d(3->16, k4, s2, p1)".
   virtual std::string describe() const = 0;

@@ -104,9 +104,13 @@ std::vector<Param> Linear::params() {
   return {{&WeightT, &GradWeightT, "weight"}, {&Bias, &GradBias, "bias"}};
 }
 
-Shape Linear::outputShape(const Shape &InputShape) const {
-  check(InputShape.rank() == 2 && InputShape.dim(1) == InFeatures,
-        "Linear input shape mismatch");
+std::optional<Shape> Linear::tryOutputShape(const Shape &InputShape,
+                                            std::string &Error) const {
+  if (InputShape.rank() != 2 || InputShape.dim(1) != InFeatures) {
+    Error = describe() + " expects [N, " + std::to_string(InFeatures) +
+            "] input, got " + InputShape.toString();
+    return std::nullopt;
+  }
   return Shape({InputShape.dim(0), OutFeatures});
 }
 

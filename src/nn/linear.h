@@ -30,7 +30,8 @@ public:
   void applyToBoxSound(Tensor &Center, Tensor &Radius) const override;
   int64_t accumulationDepth() const override { return InFeatures + 1; }
   std::vector<Param> params() override;
-  Shape outputShape(const Shape &InputShape) const override;
+  std::optional<Shape> tryOutputShape(const Shape &InputShape,
+                                      std::string &Error) const override;
   std::string describe() const override;
   uint64_t fingerprint() const override {
     // Structural seed from the base hash (kind + description), parameter

@@ -29,7 +29,12 @@ void Flatten::applyToBox(Tensor &Center, Tensor &Radius) const {
   Radius = applyAffine(Radius);
 }
 
-Shape Flatten::outputShape(const Shape &InputShape) const {
+std::optional<Shape> Flatten::tryOutputShape(const Shape &InputShape,
+                                             std::string &Error) const {
+  if (InputShape.rank() < 2) {
+    Error = "Flatten expects [N, ...] input, got " + InputShape.toString();
+    return std::nullopt;
+  }
   int64_t Features = 1;
   for (size_t I = 1; I < InputShape.rank(); ++I)
     Features *= InputShape.dim(static_cast<int>(I));
@@ -62,10 +67,15 @@ void Reshape::applyToBox(Tensor &Center, Tensor &Radius) const {
   Radius = applyAffine(Radius);
 }
 
-Shape Reshape::outputShape(const Shape &InputShape) const {
-  check(InputShape.rank() == 2 &&
-            InputShape.dim(1) == Channels * Height * Width,
-        "Reshape input shape mismatch");
+std::optional<Shape> Reshape::tryOutputShape(const Shape &InputShape,
+                                             std::string &Error) const {
+  if (InputShape.rank() != 2 ||
+      InputShape.dim(1) != Channels * Height * Width) {
+    Error = describe() + " expects [N, " +
+            std::to_string(Channels * Height * Width) + "] input, got " +
+            InputShape.toString();
+    return std::nullopt;
+  }
   return Shape({InputShape.dim(0), Channels, Height, Width});
 }
 

@@ -18,7 +18,8 @@ public:
   Tensor applyAffine(const Tensor &Points) const override;
   Tensor applyLinear(const Tensor &Points) const override;
   void applyToBox(Tensor &Center, Tensor &Radius) const override;
-  Shape outputShape(const Shape &InputShape) const override;
+  std::optional<Shape> tryOutputShape(const Shape &InputShape,
+                                      std::string &Error) const override;
   std::string describe() const override { return "Flatten"; }
 
 private:
@@ -35,7 +36,8 @@ public:
   Tensor applyAffine(const Tensor &Points) const override;
   Tensor applyLinear(const Tensor &Points) const override;
   void applyToBox(Tensor &Center, Tensor &Radius) const override;
-  Shape outputShape(const Shape &InputShape) const override;
+  std::optional<Shape> tryOutputShape(const Shape &InputShape,
+                                      std::string &Error) const override;
   std::string describe() const override;
 
   int64_t channels() const { return Channels; }

@@ -88,4 +88,21 @@ std::vector<const Layer *> concatViews(const std::vector<const Layer *> &A,
   return Out;
 }
 
+std::string pipelineShapeError(const std::vector<const Layer *> &Layers,
+                               const Shape &InputShape) {
+  for (int64_t D : InputShape.dims())
+    if (D <= 0)
+      return "input shape " + InputShape.toString() +
+             " has a non-positive dimension";
+  Shape Current = InputShape;
+  for (size_t I = 0; I < Layers.size(); ++I) {
+    std::string Error;
+    std::optional<Shape> Next = Layers[I]->tryOutputShape(Current, Error);
+    if (!Next)
+      return "layer " + std::to_string(I) + ": " + Error;
+    Current = *Next;
+  }
+  return "";
+}
+
 } // namespace genprove

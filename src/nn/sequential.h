@@ -66,6 +66,14 @@ private:
 std::vector<const Layer *> concatViews(const std::vector<const Layer *> &A,
                                        const std::vector<const Layer *> &B);
 
+/// Walk \p InputShape through \p Layers with each layer's shape rule.
+/// Returns the empty string when every dimension is positive and every
+/// layer accepts its input, otherwise a message naming the first layer
+/// that does not. Input boundaries call this before propagating, so a
+/// mis-shaped input is rejected instead of aborting inside a kernel.
+std::string pipelineShapeError(const std::vector<const Layer *> &Layers,
+                               const Shape &InputShape);
+
 } // namespace genprove
 
 #endif // GENPROVE_NN_SEQUENTIAL_H

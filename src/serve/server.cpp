@@ -4,6 +4,7 @@
 
 #include "src/core/genprove.h"
 #include "src/domains/prop_cache.h"
+#include "src/nn/sequential.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
@@ -629,8 +630,25 @@ bool Server::handleLine(int Fd, const std::string &Line) {
     S.Prometheus = Reg.toPrometheus();
     return writeLine(Fd, encodeServeStats(S));
   }
-  case ServeRequest::Kind::Verify:
+  case ServeRequest::Kind::Verify: {
+    // A shape the pipeline cannot take would abort inside a kernel; walk
+    // it through every layer's shape rule first and answer bad_request.
+    const RegisteredModel *Model = Registry.find(Req.Net);
+    Shape InShape;
+    if (Model && parseShapeText(Req.InputShape, InShape)) {
+      const std::string ShapeError =
+          pipelineShapeError(Model->Pipeline, InShape);
+      if (!ShapeError.empty()) {
+        MetricsRegistry::global().counter("serve.bad_requests").add(1);
+        return writeLine(Fd, encodeServeError(
+                                 "bad_request",
+                                 "input_shape " + Req.InputShape +
+                                     " does not fit net '" + Req.Net +
+                                     "': " + ShapeError));
+      }
+    }
     return writeLine(Fd, encodeServeResponse(runVerify(Req)));
+  }
   }
   return true;
 }

@@ -18,6 +18,13 @@ namespace {
 /// order, so tiling never changes the floating-point result.
 constexpr int64_t GemmTileK = 256;
 
+/// The zero-skip select: Sum (computed unconditionally, so the vectorizer
+/// can turn the choice into a lane blend) unless B is ±0.
+__attribute__((always_inline)) inline double skipZero(double B, double Acc,
+                                                      double Sum) {
+  return B == 0.0 ? Acc : Sum;
+}
+
 /// C[IBegin..IEnd) += A[IBegin..IEnd) * B for row-major A [M,K], B [K,N].
 ///
 /// Structure: 4 C-row streams against 4 consecutive B rows per step. The
@@ -32,6 +39,13 @@ constexpr int64_t GemmTileK = 256;
 /// Determinism: every C element accumulates in ascending-k order and the
 /// dispatch wrappers below pin fp-contract=off, so the result is
 /// bit-identical to the naive i-k-j loop on every ISA path.
+///
+/// SkipZeroB turns every multiply-add into a lane select that leaves C
+/// unchanged where the B entry is ±0 — the zero-input skip of a scatter
+/// loop, so a -0.0 accumulator stays -0.0 and an inf weight against a
+/// zero input adds nothing (no NaN). The transposed convolution runs on
+/// it; SkipZeroB=false is the plain dense kernel every other GEMM uses.
+template <bool SkipZeroB>
 __attribute__((always_inline)) inline void
 gemmRows4Body(const double *__restrict__ Ad, const double *__restrict__ Bd,
               double *__restrict__ Cd, int64_t IBegin, int64_t IEnd,
@@ -60,7 +74,10 @@ gemmRows4Body(const double *__restrict__ Ad, const double *__restrict__ Bd,
           for (int R = 0; R < 4; ++R) {
             double Acc = Cr[R][J];
             for (int U = 0; U < 4; ++U)
-              Acc += Av[R][U] * Bv[U];
+              if constexpr (SkipZeroB)
+                Acc = skipZero(Bv[U], Acc, Acc + Av[R][U] * Bv[U]);
+              else
+                Acc += Av[R][U] * Bv[U];
             Cr[R][J] = Acc;
           }
         }
@@ -73,7 +90,10 @@ gemmRows4Body(const double *__restrict__ Ad, const double *__restrict__ Bd,
         for (int64_t J = 0; J < N; ++J) {
           const double Bv = Br[J];
           for (int R = 0; R < 4; ++R)
-            Cr[R][J] += Av[R] * Bv;
+            if constexpr (SkipZeroB)
+              Cr[R][J] = skipZero(Bv, Cr[R][J], Cr[R][J] + Av[R] * Bv);
+            else
+              Cr[R][J] += Av[R] * Bv;
         }
       }
     }
@@ -90,10 +110,17 @@ gemmRows4Body(const double *__restrict__ Ad, const double *__restrict__ Bd,
         const double *__restrict__ Br = Bd + Kc * N;
         for (int64_t J = 0; J < N; ++J) {
           double Acc = Crow[J];
-          Acc += Av0 * Br[J];
-          Acc += Av1 * Br[N + J];
-          Acc += Av2 * Br[2 * N + J];
-          Acc += Av3 * Br[3 * N + J];
+          if constexpr (SkipZeroB) {
+            Acc = skipZero(Br[J], Acc, Acc + Av0 * Br[J]);
+            Acc = skipZero(Br[N + J], Acc, Acc + Av1 * Br[N + J]);
+            Acc = skipZero(Br[2 * N + J], Acc, Acc + Av2 * Br[2 * N + J]);
+            Acc = skipZero(Br[3 * N + J], Acc, Acc + Av3 * Br[3 * N + J]);
+          } else {
+            Acc += Av0 * Br[J];
+            Acc += Av1 * Br[N + J];
+            Acc += Av2 * Br[2 * N + J];
+            Acc += Av3 * Br[3 * N + J];
+          }
           Crow[J] = Acc;
         }
       }
@@ -101,7 +128,10 @@ gemmRows4Body(const double *__restrict__ Ad, const double *__restrict__ Bd,
         const double Av = Arow[Kc];
         const double *__restrict__ Brow = Bd + Kc * N;
         for (int64_t J = 0; J < N; ++J)
-          Crow[J] += Av * Brow[J];
+          if constexpr (SkipZeroB)
+            Crow[J] = skipZero(Brow[J], Crow[J], Crow[J] + Av * Brow[J]);
+          else
+            Crow[J] += Av * Brow[J];
       }
     }
   }
@@ -197,7 +227,18 @@ gemmRows4TransABody(const double *__restrict__ Ad,
 __attribute__((optimize("fp-contract=off"))) void
 gemmRowBlockPlain(const double *Ad, const double *Bd, double *Cd,
                   int64_t IBegin, int64_t IEnd, int64_t K, int64_t N) {
-  gemmRows4Body(Ad, Bd, Cd, IBegin, IEnd, K, N);
+  gemmRows4Body<false>(Ad, Bd, Cd, IBegin, IEnd, K, N);
+}
+
+// The zero-skip variants also assume no-trapping-math: the select's sum is
+// computed unconditionally (a trap-free speculation that changes no
+// result), which is what lets GCC if-convert the select into lane blends
+// instead of a branch per element.
+__attribute__((optimize("fp-contract=off", "no-trapping-math"))) void
+gemmSkipZeroRowBlockPlain(const double *Ad, const double *Bd, double *Cd,
+                          int64_t IBegin, int64_t IEnd, int64_t K,
+                          int64_t N) {
+  gemmRows4Body<true>(Ad, Bd, Cd, IBegin, IEnd, K, N);
 }
 
 __attribute__((optimize("fp-contract=off"))) void
@@ -212,7 +253,15 @@ gemmTransARowBlockPlain(const double *Ad, const double *Bd, double *Cd,
 __attribute__((target("avx512f"), optimize("fp-contract=off"))) void
 gemmRowBlockAvx512(const double *Ad, const double *Bd, double *Cd,
                    int64_t IBegin, int64_t IEnd, int64_t K, int64_t N) {
-  gemmRows4Body(Ad, Bd, Cd, IBegin, IEnd, K, N);
+  gemmRows4Body<false>(Ad, Bd, Cd, IBegin, IEnd, K, N);
+}
+
+__attribute__((target("avx512f"),
+               optimize("fp-contract=off", "no-trapping-math"))) void
+gemmSkipZeroRowBlockAvx512(const double *Ad, const double *Bd, double *Cd,
+                           int64_t IBegin, int64_t IEnd, int64_t K,
+                           int64_t N) {
+  gemmRows4Body<true>(Ad, Bd, Cd, IBegin, IEnd, K, N);
 }
 
 __attribute__((target("avx512f"), optimize("fp-contract=off"))) void
@@ -244,6 +293,16 @@ void gemmRowBlock(const double *Ad, const double *Bd, double *Cd,
     return gemmRowBlockAvx512(Ad, Bd, Cd, IBegin, IEnd, K, N);
 #endif
   gemmRowBlockPlain(Ad, Bd, Cd, IBegin, IEnd, K, N);
+}
+
+void gemmSkipZeroRowBlock(const double *Ad, const double *Bd, double *Cd,
+                          int64_t IBegin, int64_t IEnd, int64_t K,
+                          int64_t N) {
+#if GENPROVE_GEMM_MULTIVERSION
+  if (useAvx512())
+    return gemmSkipZeroRowBlockAvx512(Ad, Bd, Cd, IBegin, IEnd, K, N);
+#endif
+  gemmSkipZeroRowBlockPlain(Ad, Bd, Cd, IBegin, IEnd, K, N);
 }
 
 void gemmTransARowBlock(const double *Ad, const double *Bd, double *Cd,
@@ -701,6 +760,56 @@ Tensor conv2dBackward(const Tensor &Input, const Tensor &Weight,
 
 namespace {
 
+/// One spatial axis of a transposed convolution, split into its Stride
+/// phases. Output o receives input i through kernel tap k = o + Padding -
+/// i·Stride, so the outputs with (o + Padding) mod Stride == R are reached
+/// exactly by the taps k = R + t·Stride (t = 0..Taps-1), each reading input
+/// i = q - t with q = (o + Padding) / Stride. The phase's outputs are
+/// First, First + Stride, ... (Count of them); the first one has q = Q0.
+struct PhaseAxis {
+  int64_t Taps = 0;
+  int64_t First = 0;
+  int64_t Count = 0;
+  int64_t Q0 = 0;
+};
+
+PhaseAxis phaseAxis(int64_t R, int64_t Kernel, int64_t Out, int64_t Stride,
+                    int64_t Padding) {
+  PhaseAxis A;
+  A.Taps = R < Kernel ? (Kernel - R + Stride - 1) / Stride : 0;
+  A.First = ((R - Padding) % Stride + Stride) % Stride;
+  A.Count = A.First < Out ? (Out - A.First + Stride - 1) / Stride : 0;
+  A.Q0 = (A.First + Padding) / Stride;
+  return A;
+}
+
+/// Doubles of im2col + output scratch one worker reuses per chunk (1 MiB).
+constexpr int64_t ConvTransposeScratch = int64_t(1) << 17;
+
+/// Transposed convolution in gather form. For each output phase
+/// (oh mod Stride, ow mod Stride) the taps that reach it are packed, in
+/// ascending input index (descending kernel index), into a weight matrix
+/// A [OC, C·TapsH·TapsW] — |W| when UseAbs — and a chunk of sample rows
+/// is unfolded into B [C·TapsH·TapsW, columns]. C [OC, columns] starts at
+/// the bias and accumulates A·B in the tiled GEMM with the zero-skip
+/// select, then interleaves into the NCHW output.
+///
+/// Every output therefore accumulates bias first, then W·x over
+/// (ic, ih, iw) ascending, skipping zero inputs. That is the order and
+/// the skips of a scatter loop (ic, ih, iw outer; each nonzero input
+/// added into every output it reaches), so results are bit-identical to
+/// one — ±0 and non-finite weights included. tests/tensor_test.cpp keeps
+/// that loop as the reference (convTransposeNaive).
+///
+/// Layout: each (sample, channel) input plane is first copied into a
+/// zero-bordered plane Pd of the phase's reach, [QH+TapsH-1, Wp] with
+/// Wp = QW+TapsW-1. B's columns for one sample then run over QH rows of
+/// Wp (not QW) outputs, so the B row of tap (a, b) is the single
+/// contiguous slice Pd[a·Wp + b, +QH·Wp): one copy per tap instead of one
+/// per output row. The TapsW-1 extra columns per row are computed and
+/// dropped. A is padded with zero rows to a multiple of 4 output
+/// channels so the GEMM always runs its 4-row path (the decoder's last
+/// layer has 3); those rows are dropped too.
 Tensor convTranspose2dImpl(const Tensor &Input, const Tensor &Weight,
                            const Tensor &Bias, const ConvGeometry &Geom,
                            bool UseAbs) {
@@ -709,53 +818,122 @@ Tensor convTranspose2dImpl(const Tensor &Input, const Tensor &Weight,
                 W = Input.dim(3);
   check(C == Geom.InChannels, "convTranspose2d channel mismatch");
   const auto [OH, OW] = Geom.convTransposeOutput(H, W);
-  const int64_t OC = Geom.OutChannels;
+  check(OH > 0 && OW > 0, "convTranspose2d output size must be positive");
+  const int64_t OC = Geom.OutChannels, KH = Geom.KernelH, KW = Geom.KernelW,
+                S = Geom.Stride;
+  const int64_t OCPad = (OC + 3) / 4 * 4;
+  const bool WithBias = Bias.numel() == OC && !UseAbs;
 
-  Tensor Output({N, OC, OH, OW});
-  if (Bias.numel() == OC && !UseAbs) {
-    for (int64_t Sample = 0; Sample < N; ++Sample)
-      for (int64_t Oc = 0; Oc < OC; ++Oc)
-        for (int64_t P = 0; P < OH * OW; ++P)
-          Output.data()[(Sample * OC + Oc) * OH * OW + P] = Bias[Oc];
-  }
-
-  // Scatter per sample into disjoint output slices; samples parallelize.
-  // The zero-input skip stays: conv-transpose inputs are post-ReLU
-  // activations, which are genuinely sparse (unlike the dense GEMM paths,
-  // whose zero-skip branch was removed).
+  struct Phase {
+    PhaseAxis Hx, Wx;
+    int64_t K = 0;         // C·TapsH·TapsW
+    int64_t Wp = 0;        // columns per output row, QW + TapsW - 1
+    std::vector<double> A; // [OCPad, K] packed (|)W(|)
+  };
+  std::vector<Phase> Phases;
+  int64_t PerRow = 1; // scratch doubles one sample row needs, max over phases
   const double *Wd = Weight.data();
-  parallelFor(N, 1, [&](int64_t SBegin, int64_t SEnd) {
-  for (int64_t Sample = SBegin; Sample < SEnd; ++Sample) {
-    const double *In = Input.data() + Sample * C * H * W;
-    double *Out = Output.data() + Sample * OC * OH * OW;
-    for (int64_t Ic = 0; Ic < C; ++Ic) {
-      for (int64_t Ih = 0; Ih < H; ++Ih) {
-        for (int64_t Iw = 0; Iw < W; ++Iw) {
-          const double V = In[(Ic * H + Ih) * W + Iw];
-          if (V == 0.0)
-            continue;
-          for (int64_t Oc = 0; Oc < OC; ++Oc) {
-            const double *Kslice =
-                Wd + ((Ic * OC + Oc) * Geom.KernelH) * Geom.KernelW;
-            for (int64_t Kh = 0; Kh < Geom.KernelH; ++Kh) {
-              const int64_t Oh = Ih * Geom.Stride - Geom.Padding + Kh;
-              if (Oh < 0 || Oh >= OH)
-                continue;
-              for (int64_t Kw = 0; Kw < Geom.KernelW; ++Kw) {
-                const int64_t Ow = Iw * Geom.Stride - Geom.Padding + Kw;
-                if (Ow < 0 || Ow >= OW)
-                  continue;
-                double Wv = Kslice[Kh * Geom.KernelW + Kw];
-                if (UseAbs)
-                  Wv = std::fabs(Wv);
-                Out[(Oc * OH + Oh) * OW + Ow] += V * Wv;
-              }
+  for (int64_t Rh = 0; Rh < S; ++Rh) {
+    for (int64_t Rw = 0; Rw < S; ++Rw) {
+      Phase P;
+      P.Hx = phaseAxis(Rh, KH, OH, S, Geom.Padding);
+      P.Wx = phaseAxis(Rw, KW, OW, S, Geom.Padding);
+      if (P.Hx.Count == 0 || P.Wx.Count == 0)
+        continue;
+      const int64_t TH = P.Hx.Taps, TW = P.Wx.Taps;
+      P.K = C * TH * TW;
+      P.Wp = P.Wx.Count + std::max<int64_t>(TW - 1, 0);
+      P.A.assign(static_cast<size_t>(OCPad * P.K), 0.0);
+      for (int64_t Oc = 0; Oc < OC; ++Oc)
+        for (int64_t Ic = 0; Ic < C; ++Ic)
+          for (int64_t A = 0; A < TH; ++A)
+            for (int64_t B = 0; B < TW; ++B) {
+              const int64_t Kh = Rh + (TH - 1 - A) * S;
+              const int64_t Kw = Rw + (TW - 1 - B) * S;
+              const double Wv = Wd[((Ic * OC + Oc) * KH + Kh) * KW + Kw];
+              P.A[static_cast<size_t>(Oc * P.K + (Ic * TH + A) * TW + B)] =
+                  UseAbs ? std::fabs(Wv) : Wv;
             }
-          }
-        }
-      }
+      PerRow = std::max(PerRow, (P.K + OCPad) * P.Hx.Count * P.Wp);
+      Phases.push_back(std::move(P));
     }
   }
+
+  // Row chunks are independent (each output lives in exactly one), so the
+  // chunking is a pure performance knob: about 1 MiB of scratch, and at
+  // least four chunks once there are four rows, so a small batch still
+  // spreads over the pool.
+  const int64_t ChunkRows = std::max<int64_t>(
+      1, std::min(ConvTransposeScratch / PerRow, (N + 3) / 4));
+  const int64_t NumChunks = (N + ChunkRows - 1) / ChunkRows;
+  Tensor Output({N, OC, OH, OW});
+  const double *In = Input.data();
+  double *Out = Output.data();
+  parallelFor(NumChunks, 1, [&](int64_t CBegin, int64_t CEnd) {
+    thread_local std::vector<double> Scratch;
+    for (int64_t Chunk = CBegin; Chunk < CEnd; ++Chunk) {
+      const int64_t N0 = Chunk * ChunkRows;
+      const int64_t Rows = std::min(ChunkRows, N - N0);
+      for (const Phase &P : Phases) {
+        const int64_t TH = P.Hx.Taps, TW = P.Wx.Taps;
+        const int64_t QH = P.Hx.Count, QW = P.Wx.Count, Wp = P.Wp;
+        const int64_t Hp = QH + TH - 1;
+        const int64_t Span = QH * Wp, Cols = Rows * Span;
+        const int64_t PdSize = P.K > 0 ? Hp * Wp + TW - 1 : 0;
+        const size_t Need =
+            static_cast<size_t>((P.K + OCPad) * Cols + PdSize);
+        if (Scratch.size() < Need)
+          Scratch.resize(Need);
+        double *Bm = Scratch.data();
+        double *Cm = Bm + P.K * Cols;
+        double *Pd = Cm + OCPad * Cols;
+
+        if (P.K > 0) {
+          // Pd row y holds input row Y0 + y, column x input column X0 + x.
+          const int64_t Y0 = P.Hx.Q0 - (TH - 1), X0 = P.Wx.Q0 - (TW - 1);
+          const int64_t XBegin = std::clamp<int64_t>(-X0, 0, Wp);
+          const int64_t XEnd = std::clamp<int64_t>(W - X0, XBegin, Wp);
+          std::fill(Pd + Hp * Wp, Pd + PdSize, 0.0);
+          for (int64_t R = 0; R < Rows; ++R)
+            for (int64_t Ic = 0; Ic < C; ++Ic) {
+              const double *Src = In + ((N0 + R) * C + Ic) * H * W;
+              for (int64_t Y = 0; Y < Hp; ++Y) {
+                double *Dst = Pd + Y * Wp;
+                const int64_t Ih = Y0 + Y;
+                if (Ih < 0 || Ih >= H) {
+                  std::fill(Dst, Dst + Wp, 0.0);
+                  continue;
+                }
+                std::fill(Dst, Dst + XBegin, 0.0);
+                std::copy(Src + Ih * W + X0 + XBegin, Src + Ih * W + X0 + XEnd,
+                          Dst + XBegin);
+                std::fill(Dst + XEnd, Dst + Wp, 0.0);
+              }
+              for (int64_t A = 0; A < TH; ++A)
+                for (int64_t B = 0; B < TW; ++B) {
+                  const double *Slice = Pd + A * Wp + B;
+                  std::copy(Slice, Slice + Span,
+                            Bm + ((Ic * TH + A) * TW + B) * Cols + R * Span);
+                }
+            }
+        }
+        for (int64_t Oc = 0; Oc < OCPad; ++Oc)
+          std::fill(Cm + Oc * Cols, Cm + (Oc + 1) * Cols,
+                    WithBias && Oc < OC ? Bias[Oc] : 0.0);
+
+        gemmSkipZeroRowBlock(P.A.data(), Bm, Cm, 0, OCPad, P.K, Cols);
+
+        for (int64_t R = 0; R < Rows; ++R)
+          for (int64_t Oc = 0; Oc < OC; ++Oc) {
+            const double *Src = Cm + Oc * Cols + R * Span;
+            double *Dst = Out + ((N0 + R) * OC + Oc) * OH * OW +
+                          P.Hx.First * OW + P.Wx.First;
+            for (int64_t I = 0; I < QH; ++I)
+              for (int64_t J = 0; J < QW; ++J)
+                Dst[(I * S) * OW + J * S] = Src[I * Wp + J];
+          }
+      }
+    }
   });
   return Output;
 }

@@ -115,7 +115,8 @@ public:
     Radius = matmulTransB(Radius, AbsW);
   }
   int64_t accumulationDepth() const override { return W.dim(1) + 1; }
-  Shape outputShape(const Shape &InputShape) const override {
+  std::optional<Shape> tryOutputShape(const Shape &InputShape,
+                                      std::string &) const override {
     return Shape({InputShape.dim(0), W.dim(0)});
   }
   std::string describe() const override { return "DotFormLinear"; }

@@ -2,8 +2,10 @@
 
 #include "src/nn/architectures.h"
 #include "src/nn/conv.h"
+#include "src/nn/conv_transpose.h"
 #include "src/nn/init.h"
 #include "src/nn/linear.h"
+#include "src/nn/reshape.h"
 #include "src/nn/serialize.h"
 #include "src/util/rng.h"
 
@@ -89,6 +91,42 @@ TEST(Architectures, OutputShapes) {
   EXPECT_EQ(makeDecoder(8, 3, S).outputShape({1, 8}), Shape({1, 3, S, S}));
   EXPECT_EQ(makeDecoderSmall(8, 3, S).outputShape({1, 8}),
             Shape({1, 3, S, S}));
+}
+
+/// Every layer's shape rule reports a shape it cannot take instead of
+/// aborting, and pipelineShapeError names the first layer that refuses.
+TEST(ShapeRule, MismatchesAreReportedNotFatal) {
+  std::string Error;
+  EXPECT_FALSE(Linear(4, 3).tryOutputShape({1, 5}, Error));
+  EXPECT_NE(Error.find("Linear(4->3)"), std::string::npos) << Error;
+  EXPECT_FALSE(Linear(4, 3).tryOutputShape({1, 2, 2}, Error));
+  EXPECT_FALSE(Reshape(2, 2, 2).tryOutputShape({1, 7}, Error));
+  EXPECT_FALSE(Flatten().tryOutputShape({6}, Error));
+  EXPECT_FALSE(Conv2d(3, 4, 4, 2, 1).tryOutputShape({1, 2, 8, 8}, Error));
+  // A kernel larger than the padded input has no output pixel.
+  EXPECT_FALSE(Conv2d(3, 4, 5, 1, 0).tryOutputShape({1, 3, 3, 3}, Error));
+  EXPECT_FALSE(ConvTranspose2d(2, 1, 3, 2, 1, 1)
+                   .tryOutputShape({1, 3, 4, 4}, Error));
+  // (1 - 1)·1 - 2·2 + 1 = -3: a transposed convolution with no output.
+  EXPECT_FALSE(ConvTranspose2d(2, 1, 1, 1, 2, 0)
+                   .tryOutputShape({1, 2, 1, 1}, Error));
+  EXPECT_NE(Error.find("not positive"), std::string::npos) << Error;
+  EXPECT_EQ(*ConvTranspose2d(2, 1, 3, 2, 1, 1).tryOutputShape({1, 2, 4, 4},
+                                                              Error),
+            Shape({1, 1, 8, 8}));
+
+  const Sequential Dec = makeDecoder(8, 3, 16);
+  const Sequential Cls = makeConvSmall(3, 16, 10);
+  const auto Pipeline = concatViews(Dec.view(), Cls.view());
+  EXPECT_EQ(pipelineShapeError(Pipeline, {1, 8}), "");
+  const std::string Wide = pipelineShapeError(Pipeline, {1, 5});
+  EXPECT_EQ(Wide.rfind("layer 0: Linear(8->400)", 0), 0u) << Wide;
+  EXPECT_NE(pipelineShapeError(Pipeline, {2, 4}), "");
+  EXPECT_NE(pipelineShapeError(Pipeline, {1, 8, 1}), "");
+  EXPECT_NE(pipelineShapeError(Pipeline, {0, 8}), "");
+  // The classifier alone on the decoder's latent: refused at the conv.
+  EXPECT_EQ(pipelineShapeError(Cls.view(), {1, 8}).rfind("layer 0: Conv2d", 0),
+            0u);
 }
 
 TEST(Architectures, NeuronCountsOrdered) {

@@ -267,6 +267,32 @@ TEST(TiledGemmTest, ConvBitIdenticalAcrossThreadCounts) {
     Up4 = convTranspose2d(TIn, TW, Tensor(), TGeom);
   }
   EXPECT_TRUE(bitIdentical(Up1, Up4));
+
+  // The decoder's first transposed convolution, with a bias, on enough
+  // rows that the kernel cuts them into several scratch-sized chunks.
+  ConvGeometry DGeom;
+  DGeom.InChannels = 32;
+  DGeom.OutChannels = 16;
+  DGeom.KernelH = DGeom.KernelW = 3;
+  DGeom.Stride = 2;
+  DGeom.Padding = 1;
+  DGeom.OutputPadding = 1;
+  const Tensor DIn = relu(Tensor::randn({40, 32, 8, 8}, R, 1.0));
+  const Tensor DW = Tensor::randn({32, 16, 3, 3}, R, 0.5);
+  const Tensor DBias = Tensor::randn({16}, R, 0.1);
+  Tensor Dec1, Dec4, Abs1, Abs4;
+  {
+    ThreadCount Scope(1);
+    Dec1 = convTranspose2d(DIn, DW, DBias, DGeom);
+    Abs1 = convTranspose2dAbs(DIn, DW, DGeom);
+  }
+  {
+    ThreadCount Scope(4);
+    Dec4 = convTranspose2d(DIn, DW, DBias, DGeom);
+    Abs4 = convTranspose2dAbs(DIn, DW, DGeom);
+  }
+  EXPECT_TRUE(bitIdentical(Dec1, Dec4));
+  EXPECT_TRUE(bitIdentical(Abs1, Abs4));
 }
 
 // --- End-to-end propagation determinism -----------------------------------

@@ -588,6 +588,37 @@ TEST_F(ServeEndToEnd, InjectedCrashIsRetriedToASoundAnswer) {
   ::close(Fd);
 }
 
+/// A verify request whose input_shape the net cannot take (wrong width,
+/// or the right element count in the wrong rank) used to abort the whole
+/// daemon inside a kernel. It now gets a bad_request reply, and the same
+/// connection goes on to get a normal answer.
+TEST_F(ServeEndToEnd, MisShapedRequestIsRejectedAndDaemonKeepsServing) {
+  startServer(ServeConfig{});
+  const int Fd = connectSocket();
+  ASSERT_GE(Fd, 0);
+  JsonValue Reply;
+  const std::string Wide =
+      "{\"type\":\"verify\",\"id\":\"wide\",\"net\":\"tiny\","
+      "\"input_shape\":\"1x5\",\"start\":[1,0,0,0,0],"
+      "\"end\":[2,0.5,0,0,0],\"specs\":[\"argmax:0:2\"]}";
+  const std::string Tall =
+      "{\"type\":\"verify\",\"id\":\"tall\",\"net\":\"tiny\","
+      "\"input_shape\":\"2x1\",\"start\":[1,0],\"end\":[2,0.5],"
+      "\"specs\":[\"argmax:0:2\"]}";
+  for (const std::string &Line : {Wide, Tall}) {
+    ASSERT_TRUE(roundTrip(Fd, Line, Reply)) << Line;
+    EXPECT_EQ(Reply.find("type")->stringOr(""), "error") << Line;
+    EXPECT_EQ(Reply.find("code")->stringOr(""), "bad_request") << Line;
+    EXPECT_NE(Reply.find("detail")->stringOr("").find("Linear(2->2)"),
+              std::string::npos)
+        << Line;
+  }
+  ASSERT_TRUE(roundTrip(Fd, verifyLine("after", -1.0), Reply));
+  EXPECT_EQ(Reply.find("status")->stringOr(""), "ok");
+  EXPECT_EQ(Reply.find("id")->stringOr(""), "after");
+  ::close(Fd);
+}
+
 TEST_F(ServeEndToEnd, InjectionRefusedWithoutAllowInject) {
   ServeConfig Cfg; // AllowInject defaults off
   startServer(Cfg);

@@ -847,7 +847,10 @@ public:
     return P;
   }
   void applyToBox(Tensor &, Tensor &) const override {}
-  Shape outputShape(const Shape &In) const override { return In; }
+  std::optional<Shape> tryOutputShape(const Shape &In,
+                                      std::string &) const override {
+    return In;
+  }
   std::string describe() const override { return "RecordingIdentity"; }
 
   mutable std::vector<Tensor> Offsets, Slopes;

@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace genprove {
 namespace {
@@ -215,6 +220,138 @@ TEST(ConvTranspose, MatchesAdjointOfConv) {
     Rhs += X[I] * Ty[I];
   EXPECT_NEAR(Lhs, Rhs, 1e-9);
 }
+
+/// The scatter loop convTranspose2d used to be, kept verbatim as the
+/// bit-level reference: outputs start at the bias, then every nonzero
+/// input, in (ic, ih, iw) order, is added into each output it reaches.
+Tensor convTransposeNaive(const Tensor &Input, const Tensor &Weight,
+                          const Tensor &Bias, const ConvGeometry &Geom,
+                          bool UseAbs) {
+  const int64_t N = Input.dim(0), C = Input.dim(1), H = Input.dim(2),
+                W = Input.dim(3);
+  const auto [OH, OW] = Geom.convTransposeOutput(H, W);
+  const int64_t OC = Geom.OutChannels;
+
+  Tensor Output({N, OC, OH, OW});
+  if (Bias.numel() == OC && !UseAbs) {
+    for (int64_t Sample = 0; Sample < N; ++Sample)
+      for (int64_t Oc = 0; Oc < OC; ++Oc)
+        for (int64_t P = 0; P < OH * OW; ++P)
+          Output.data()[(Sample * OC + Oc) * OH * OW + P] = Bias[Oc];
+  }
+
+  const double *Wd = Weight.data();
+  for (int64_t Sample = 0; Sample < N; ++Sample) {
+    const double *In = Input.data() + Sample * C * H * W;
+    double *Out = Output.data() + Sample * OC * OH * OW;
+    for (int64_t Ic = 0; Ic < C; ++Ic) {
+      for (int64_t Ih = 0; Ih < H; ++Ih) {
+        for (int64_t Iw = 0; Iw < W; ++Iw) {
+          const double V = In[(Ic * H + Ih) * W + Iw];
+          if (V == 0.0)
+            continue;
+          for (int64_t Oc = 0; Oc < OC; ++Oc) {
+            const double *Kslice =
+                Wd + ((Ic * OC + Oc) * Geom.KernelH) * Geom.KernelW;
+            for (int64_t Kh = 0; Kh < Geom.KernelH; ++Kh) {
+              const int64_t Oh = Ih * Geom.Stride - Geom.Padding + Kh;
+              if (Oh < 0 || Oh >= OH)
+                continue;
+              for (int64_t Kw = 0; Kw < Geom.KernelW; ++Kw) {
+                const int64_t Ow = Iw * Geom.Stride - Geom.Padding + Kw;
+                if (Ow < 0 || Ow >= OW)
+                  continue;
+                double Wv = Kslice[Kh * Geom.KernelW + Kw];
+                if (UseAbs)
+                  Wv = std::fabs(Wv);
+                Out[(Oc * OH + Oh) * OW + Ow] += V * Wv;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return Output;
+}
+
+bool sameBits(const Tensor &A, const Tensor &B) {
+  return A.shape() == B.shape() &&
+         std::memcmp(A.data(), B.data(),
+                     static_cast<size_t>(A.numel()) * sizeof(double)) == 0;
+}
+
+struct ConvTCase {
+  int64_t Stride, Padding, Kernel, OutputPadding;
+};
+
+class ConvTransposeSweep : public ::testing::TestWithParam<ConvTCase> {};
+
+/// The phase-split GEMM against the scatter reference, bit for bit, on
+/// post-ReLU-like inputs (about half of them ±0), a −0.0 bias entry, zero
+/// weights and an inf weight (0·inf must never be formed). 5 output
+/// channels exercise both the 4-row and the leftover-row GEMM paths, and a
+/// non-square input catches swapped axes.
+TEST_P(ConvTransposeSweep, MatchesScatterBitForBit) {
+  const ConvTCase CC = GetParam();
+  ConvGeometry G;
+  G.InChannels = 3;
+  G.OutChannels = 5;
+  G.KernelH = G.KernelW = CC.Kernel;
+  G.Stride = CC.Stride;
+  G.Padding = CC.Padding;
+  G.OutputPadding = CC.OutputPadding;
+  const auto [OH, OW] = G.convTransposeOutput(5, 6);
+  ASSERT_GT(OH, 0);
+  ASSERT_GT(OW, 0);
+
+  Rng R(static_cast<uint64_t>(100 * CC.Stride + 10 * CC.Padding + CC.Kernel));
+  Tensor In = Tensor::randn({3, 3, 5, 6}, R);
+  for (int64_t I = 0; I < In.numel(); ++I) {
+    if (I % 4 == 1)
+      In[I] = -0.0;
+    else if (In[I] < 0.0 && I % 4 != 3)
+      In[I] = 0.0;
+  }
+  Tensor W = Tensor::randn({3, 5, CC.Kernel, CC.Kernel}, R);
+  W[3] = 0.0;
+  W[W.numel() - 2] = std::numeric_limits<double>::infinity();
+  Tensor B = Tensor::randn({5}, R);
+  B[1] = -0.0;
+
+  EXPECT_TRUE(sameBits(convTranspose2d(In, W, B, G),
+                       convTransposeNaive(In, W, B, G, false)));
+  EXPECT_TRUE(sameBits(convTranspose2d(In, W, Tensor(), G),
+                       convTransposeNaive(In, W, Tensor(), G, false)));
+  EXPECT_TRUE(sameBits(convTranspose2dAbs(In, W, G),
+                       convTransposeNaive(In, W, Tensor(), G, true)));
+}
+
+std::vector<ConvTCase> convTransposeCases() {
+  std::vector<ConvTCase> Cases;
+  for (int64_t S = 1; S <= 3; ++S)
+    for (int64_t P = 0; P <= 2; ++P)
+      for (int64_t K = 1; K <= 4; ++K)
+        for (int64_t Op = 0; Op < S; ++Op)
+          Cases.push_back({S, P, K, Op});
+  return Cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvTransposeSweep, ::testing::ValuesIn(convTransposeCases()),
+    [](const ::testing::TestParamInfo<ConvTCase> &Info) {
+      const ConvTCase &C = Info.param;
+      std::string Name;
+      for (const auto &[Tag, V] :
+           {std::pair<const char *, int64_t>{"s", C.Stride},
+            {"p", C.Padding},
+            {"k", C.Kernel},
+            {"op", C.OutputPadding}}) {
+        Name += Tag;
+        Name += std::to_string(V);
+      }
+      return Name;
+    });
 
 TEST(Relu, ClampsNegatives) {
   Tensor T({1, 4}, {-1.0, 0.0, 2.0, -0.5});

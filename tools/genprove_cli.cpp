@@ -46,6 +46,7 @@
 #include "src/core/genprove.h"
 #include "src/domains/fault_injection.h"
 #include "src/domains/prop_cache.h"
+#include "src/nn/sequential.h"
 #include "src/nn/serialize.h"
 #include "src/util/fp.h"
 #include "src/obs/log.h"
@@ -722,6 +723,14 @@ int main(int Argc, char **Argv) {
     Pipeline = concatViews(Pipeline, Net.view());
 
   const Shape InputShape = parseShape(ShapeText);
+  const std::string ShapeError = pipelineShapeError(Pipeline, InputShape);
+  if (!ShapeError.empty()) {
+    std::fprintf(stderr,
+                 "genprove_cli: --input-shape %s does not fit the "
+                 "network: %s\n",
+                 InputShape.toString().c_str(), ShapeError.c_str());
+    return 2;
+  }
   std::vector<std::pair<Tensor, Tensor>> Segments;
   for (size_t I = 0; I < StartPaths.size(); ++I) {
     Tensor S = readVector(StartPaths[I]);
