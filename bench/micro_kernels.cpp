@@ -34,8 +34,10 @@
 // decoder's two transposed convolutions: the phase-split zero-skipping
 // GEMM against the scatter loop it replaced (bit-identical outputs), on
 // half-zero post-ReLU inputs. The same CI step gates the GEMM >= 2x over
-// the scatter loop at threads=1 on both layers. The full recorded set is
-//   micro_kernels --benchmark_filter='BM_LinearBox|BM_PropagateLayerPair|BM_TwoTier|BM_ConvTranspose2d' \
+// the scatter loop at threads=1 on both layers, and BM_ConvBoxSound (the
+// directed-rounding box path on a Conv2d fed by ReLU boxes) <= 4x its
+// round-to-nearest BM_ConvBox at threads=1. The full recorded set is
+//   micro_kernels --benchmark_filter='BM_LinearBox|BM_PropagateLayerPair|BM_TwoTier|BM_ConvTranspose2d|BM_ConvBox' \
 //                 --benchmark_repetitions=3 \
 //                 --benchmark_out=BENCH_kernels.json --benchmark_out_format=json
 //
@@ -44,7 +46,9 @@
 #include "src/core/genprove.h"
 #include "src/domains/prop_cache.h"
 #include "src/domains/propagate.h"
+#include "src/interval/interval.h"
 #include "src/nn/activations.h"
+#include "src/nn/conv.h"
 #include "src/nn/linear.h"
 #include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
@@ -172,6 +176,63 @@ BENCHMARK(BM_Conv2d)
     ->Args({64, 1})
     ->Args({16, 4})
     ->Args({64, 4});
+
+/// The sound box path on a convolution fed by ReLU boxes (the boxes
+/// GenProve^p's relaxation produces): Conv2d(16->32, k4, s2, p1) on 16
+/// boxes of 16x8x8. The inputs come from the interval ReLU on random boxes
+/// in the rounding mode the benchmark measures, so each build's own
+/// rounding rules make them: under sound rounding the dead units carry
+/// whatever radius subUp(0, 0) gives. BM_ConvBoxSound runs applyToBoxSound
+/// on the directed-rounding boxes, BM_ConvBox applyToBox on the
+/// round-to-nearest ones; CI gates their ratio (<= 4x at threads=1).
+struct ConvBoxInput {
+  std::unique_ptr<Conv2d> Layer;
+  Tensor Center, Radius;
+};
+
+ConvBoxInput convBoxInput(bool Sound) {
+  SoundRoundingScope Rounding(Sound);
+  Rng R(17);
+  ConvBoxInput In;
+  In.Layer = std::make_unique<Conv2d>(16, 32, 4, 2, 1);
+  In.Layer->weight() = Tensor::randn({32, 16, 4, 4}, R, 0.2);
+  In.Layer->bias() = Tensor::randn({32}, R, 0.1);
+  In.Center = Tensor::randn({16, 16, 8, 8}, R);
+  In.Radius = Tensor::rand({16, 16, 8, 8}, R, 0.0, 0.5);
+  // The engine's box ReLU (reluBox in domains/propagate.cpp).
+  for (int64_t I = 0; I < In.Center.numel(); ++I) {
+    const double C = In.Center[I], Rad = In.Radius[I];
+    const Interval Box = Sound ? Interval(fp::subDown(C, Rad), fp::addUp(C, Rad))
+                               : Interval(C - Rad, C + Rad);
+    Box.relu().toCenterRadius(In.Center[I], In.Radius[I]);
+  }
+  return In;
+}
+
+void BM_ConvBoxSound(benchmark::State &State) {
+  PoolScope Scope(State.range(0));
+  const ConvBoxInput In = convBoxInput(true);
+  SoundRoundingScope Rounding(true);
+  for (auto _ : State) {
+    Tensor C = In.Center, Rad = In.Radius;
+    In.Layer->applyToBoxSound(C, Rad);
+    benchmark::DoNotOptimize(C.data());
+    benchmark::DoNotOptimize(Rad.data());
+  }
+}
+BENCHMARK(BM_ConvBoxSound)->ArgName("threads")->Arg(1)->Arg(4);
+
+void BM_ConvBox(benchmark::State &State) {
+  PoolScope Scope(State.range(0));
+  const ConvBoxInput In = convBoxInput(false);
+  for (auto _ : State) {
+    Tensor C = In.Center, Rad = In.Radius;
+    In.Layer->applyToBox(C, Rad);
+    benchmark::DoNotOptimize(C.data());
+    benchmark::DoNotOptimize(Rad.data());
+  }
+}
+BENCHMARK(BM_ConvBox)->ArgName("threads")->Arg(1)->Arg(4);
 
 /// The decoder's two transposed convolutions (makeDecoder): layer 0 is
 /// 32->16, k3 s2 p1 op1 on 8x8; layer 1 is 16->3, k3 s1 p1 on 16x16.

@@ -377,7 +377,10 @@ bool parseOutputSpecText(const std::string &Text, OutputSpec &Out,
         break;
       P = Comma + 1;
     }
-    Tensor Normal({1, static_cast<int64_t>(G.size())}, std::move(G));
+    // The width is read before G is moved from: the order in which the
+    // two constructor arguments are evaluated is unspecified.
+    const int64_t Width = static_cast<int64_t>(G.size());
+    Tensor Normal({1, Width}, std::move(G));
     Out = OutputSpec::halfspace(std::move(Normal), Offset);
     return true;
   }

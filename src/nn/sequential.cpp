@@ -89,7 +89,7 @@ std::vector<const Layer *> concatViews(const std::vector<const Layer *> &A,
 }
 
 std::string pipelineShapeError(const std::vector<const Layer *> &Layers,
-                               const Shape &InputShape) {
+                               const Shape &InputShape, Shape *OutputShape) {
   for (int64_t D : InputShape.dims())
     if (D <= 0)
       return "input shape " + InputShape.toString() +
@@ -102,6 +102,8 @@ std::string pipelineShapeError(const std::vector<const Layer *> &Layers,
       return "layer " + std::to_string(I) + ": " + Error;
     Current = *Next;
   }
+  if (OutputShape)
+    *OutputShape = Current;
   return "";
 }
 

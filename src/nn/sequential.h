@@ -69,10 +69,13 @@ std::vector<const Layer *> concatViews(const std::vector<const Layer *> &A,
 /// Walk \p InputShape through \p Layers with each layer's shape rule.
 /// Returns the empty string when every dimension is positive and every
 /// layer accepts its input, otherwise a message naming the first layer
-/// that does not. Input boundaries call this before propagating, so a
-/// mis-shaped input is rejected instead of aborting inside a kernel.
+/// that does not. On success the pipeline's output shape is stored in
+/// \p OutputShape when given. Input boundaries call this before
+/// propagating, so a mis-shaped input (or a spec sized for another output
+/// width) is rejected instead of aborting inside a kernel.
 std::string pipelineShapeError(const std::vector<const Layer *> &Layers,
-                               const Shape &InputShape);
+                               const Shape &InputShape,
+                               Shape *OutputShape = nullptr);
 
 } // namespace genprove
 

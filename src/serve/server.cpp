@@ -631,20 +631,29 @@ bool Server::handleLine(int Fd, const std::string &Line) {
     return writeLine(Fd, encodeServeStats(S));
   }
   case ServeRequest::Kind::Verify: {
-    // A shape the pipeline cannot take would abort inside a kernel; walk
-    // it through every layer's shape rule first and answer bad_request.
+    // A shape the pipeline cannot take, or a spec sized for another output
+    // width, would abort inside a kernel or the bounds computation; walk
+    // the shape through every layer's shape rule first, compare each
+    // spec's width with the output's, and answer bad_request.
     const RegisteredModel *Model = Registry.find(Req.Net);
-    Shape InShape;
+    Shape InShape, OutShape;
     if (Model && parseShapeText(Req.InputShape, InShape)) {
-      const std::string ShapeError =
-          pipelineShapeError(Model->Pipeline, InShape);
-      if (!ShapeError.empty()) {
+      std::string Error =
+          pipelineShapeError(Model->Pipeline, InShape, &OutShape);
+      if (!Error.empty())
+        Error = "input_shape " + Req.InputShape + " does not fit net '" +
+                Req.Net + "': " + Error;
+      for (size_t I = 0; Error.empty() && I < Req.Specs.size(); ++I) {
+        OutputSpec Spec;
+        parseOutputSpecText(Req.Specs[I], Spec, nullptr); // validated at decode
+        if (Spec.dim() != OutShape.numel())
+          Error = "spec " + Req.Specs[I] + " constrains " +
+                  std::to_string(Spec.dim()) + " outputs but net '" +
+                  Req.Net + "' has " + std::to_string(OutShape.numel());
+      }
+      if (!Error.empty()) {
         MetricsRegistry::global().counter("serve.bad_requests").add(1);
-        return writeLine(Fd, encodeServeError(
-                                 "bad_request",
-                                 "input_shape " + Req.InputShape +
-                                     " does not fit net '" + Req.Net +
-                                     "': " + ShapeError));
+        return writeLine(Fd, encodeServeError("bad_request", Error));
       }
     }
     return writeLine(Fd, encodeServeResponse(runVerify(Req)));

@@ -9,10 +9,29 @@
 ///
 /// Rather than flipping the FPU rounding mode (thread-unsafe with the
 /// shared pool, and silently undone by vectorized code), every operation
-/// here computes the round-to-nearest result and nudges it one ULP outward
-/// with std::nextafter. Since round-to-nearest is within half an ULP of
-/// the exact value, nextafter(RN(a op b), +-inf) always brackets the real
-/// result: up(x) >= exact and down(x) <= exact, unconditionally.
+/// here computes the round-to-nearest result and nudges it one ULP
+/// outward. Since round-to-nearest is within half an ULP of the exact
+/// value, the nudged result brackets the real one: up(x) >= exact and
+/// down(x) <= exact, unconditionally.
+///
+/// A result that is already exact is returned unnudged:
+///  - a sum or difference whose round-to-nearest result is +-0. Under
+///    gradual underflow a sum of two doubles that rounds to zero IS zero
+///    (a result in the subnormal range is exact, Hauser 1996), so
+///    a +- b == 0 means the operands cancelled exactly;
+///  - a product with a +-0 operand, and a quotient with a +-0 dividend.
+/// Every other result is nudged, including a product of nonzero operands
+/// that underflows to 0. The rule keeps the sound box path free of
+/// subnormals: nudged, every dead ReLU unit's radius subUp(0, 0) and every
+/// zero of a magnitude plane would become 4.9e-324, and the next
+/// convolution would pay a microcode assist on each product with it
+/// (docs/PERFORMANCE.md, "Sound path without subnormals"). It relies on
+/// gradual underflow: nothing here may run with flush-to-zero or
+/// denormals-are-zero set.
+///
+/// The nudge itself is an inline sign-magnitude integer step on the bit
+/// pattern, bitwise equal to std::nextafter(X, +-inf) for every input
+/// (fp::nudge, one implementation shared by the float and double helpers).
 ///
 /// The helpers are unconditional; call sites branch on
 /// soundRoundingEnabled() and keep the original round-to-nearest code when
@@ -29,6 +48,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 namespace genprove {
@@ -56,24 +76,74 @@ private:
 
 namespace fp {
 
-/// One ULP toward +inf. NaN propagates; +inf stays +inf.
-inline double up(double X) {
-  return std::nextafter(X, std::numeric_limits<double>::infinity());
+/// One ULP toward +inf or -inf on the bit pattern, for float and double:
+/// bitwise equal to std::nextafter(X, +-inf) for every input. NaN
+/// propagates (quieted), the infinity in the step's direction is a fixed
+/// point, +-0 steps to the smallest subnormal of the step's sign, and the
+/// opposite infinity steps to -+max. Inlined because the sound paths nudge
+/// every element of every bound plane, and the libm call is a measurable
+/// share of that.
+template <bool Upward, typename T> inline T nudge(T X) {
+  static_assert(std::numeric_limits<T>::is_iec559, "IEEE float or double");
+  using Bits = std::conditional_t<sizeof(T) == 8, uint64_t, uint32_t>;
+  static_assert(sizeof(Bits) == sizeof(T));
+  constexpr Bits Sign = Bits(1) << (8 * sizeof(Bits) - 1);
+  constexpr T Limit = Upward ? std::numeric_limits<T>::infinity()
+                             : -std::numeric_limits<T>::infinity();
+  if (std::isnan(X))
+    return X + X; // quiets a signaling NaN, as nextafter does
+  if (X == Limit)
+    return X;
+  Bits B;
+  std::memcpy(&B, &X, sizeof(B));
+  if ((B & ~Sign) == 0)          // +0 or -0
+    B = Upward ? 1 : (Sign | 1); // smallest subnormal of the step's sign
+  else if (((B & Sign) != 0) == Upward)
+    --B; // toward zero: the magnitude shrinks
+  else
+    ++B; // away from zero: the magnitude grows
+  std::memcpy(&X, &B, sizeof(B));
+  return X;
 }
 
-/// One ULP toward -inf.
-inline double down(double X) {
-  return std::nextafter(X, -std::numeric_limits<double>::infinity());
-}
+/// One ULP toward +inf (nextafter(X, +inf)).
+inline double up(double X) { return nudge<true>(X); }
+/// One ULP toward -inf (nextafter(X, -inf)).
+inline double down(double X) { return nudge<false>(X); }
 
-inline double addUp(double A, double B) { return up(A + B); }
-inline double addDown(double A, double B) { return down(A + B); }
-inline double subUp(double A, double B) { return up(A - B); }
-inline double subDown(double A, double B) { return down(A - B); }
-inline double mulUp(double A, double B) { return up(A * B); }
-inline double mulDown(double A, double B) { return down(A * B); }
-inline double divUp(double A, double B) { return up(A / B); }
-inline double divDown(double A, double B) { return down(A / B); }
+// Exact results are returned unnudged (see the file comment).
+inline double addUp(double A, double B) {
+  const double S = A + B;
+  return S == 0.0 ? S : up(S);
+}
+inline double addDown(double A, double B) {
+  const double S = A + B;
+  return S == 0.0 ? S : down(S);
+}
+inline double subUp(double A, double B) {
+  const double D = A - B;
+  return D == 0.0 ? D : up(D);
+}
+inline double subDown(double A, double B) {
+  const double D = A - B;
+  return D == 0.0 ? D : down(D);
+}
+inline double mulUp(double A, double B) {
+  const double P = A * B;
+  return A == 0.0 || B == 0.0 ? P : up(P);
+}
+inline double mulDown(double A, double B) {
+  const double P = A * B;
+  return A == 0.0 || B == 0.0 ? P : down(P);
+}
+inline double divUp(double A, double B) {
+  const double Q = A / B;
+  return A == 0.0 ? Q : up(Q);
+}
+inline double divDown(double A, double B) {
+  const double Q = A / B;
+  return A == 0.0 ? Q : down(Q);
+}
 
 /// Upper bound on the relative error of a K-term round-to-nearest
 /// accumulation (dot product, convolution window, bias add), valid for any
@@ -90,47 +160,16 @@ inline double accumulationBound(int64_t Terms) {
 // Single-precision directed helpers for the two-tier screening pass
 // (core/genprove.h FastScreen). The screen runs float32 round-to-nearest
 // kernels and widens with a sound cushion; these helpers build that
-// cushion and the float input enclosure with the same nextafter idiom as
+// cushion and the float input enclosure with the same one-ULP nudge as
 // the double helpers above.
 //===--------------------------------------------------------------------===//
 
-/// One float ULP toward +inf. Bitwise equal to nextafterf(X, +inf) for
-/// every input (NaN propagates, +inf is a fixed point, +-0 steps to the
-/// smallest positive subnormal, -inf steps to -FLT_MAX), but inlined as a
-/// sign-magnitude integer step: the screen nudges every cushion term, and
-/// the libm call is a measurable fraction of an entire piece
-/// classification.
-inline float upF(float X) {
-  if (std::isnan(X) || X == std::numeric_limits<float>::infinity())
-    return X;
-  uint32_t Bits;
-  std::memcpy(&Bits, &X, sizeof(Bits));
-  if ((Bits << 1) == 0) // +0.0f or -0.0f
-    Bits = 1;           // smallest positive subnormal
-  else if (Bits >> 31)
-    --Bits; // negative: toward zero is toward +inf
-  else
-    ++Bits; // positive: away from zero
-  std::memcpy(&X, &Bits, sizeof(Bits));
-  return X;
-}
-
-/// One float ULP toward -inf; the mirror of upF (bitwise equal to
-/// nextafterf(X, -inf)).
-inline float downF(float X) {
-  if (std::isnan(X) || X == -std::numeric_limits<float>::infinity())
-    return X;
-  uint32_t Bits;
-  std::memcpy(&Bits, &X, sizeof(Bits));
-  if ((Bits << 1) == 0)    // +0.0f or -0.0f
-    Bits = 0x80000001u;    // smallest negative subnormal
-  else if (Bits >> 31)
-    ++Bits; // negative: away from zero is toward -inf
-  else
-    --Bits; // positive: toward zero
-  std::memcpy(&X, &Bits, sizeof(Bits));
-  return X;
-}
+/// One float ULP toward +inf (nextafterf(X, +inf)). The float helpers
+/// nudge every result, exact or not; the screen's normal-range floor
+/// already keeps its planes out of the subnormal range.
+inline float upF(float X) { return nudge<true>(X); }
+/// One float ULP toward -inf (nextafterf(X, -inf)).
+inline float downF(float X) { return nudge<false>(X); }
 
 inline float addUpF(float A, float B) { return upF(A + B); }
 inline float addDownF(float A, float B) { return downF(A + B); }

@@ -1,6 +1,10 @@
 //===- tests/fp_test.cpp - directed rounding & stats soundness --*- C++ -*-===//
 
+#include "src/core/genprove.h"
+#include "src/domains/propagate.h"
 #include "src/interval/interval.h"
+#include "src/nn/activations.h"
+#include "src/nn/conv.h"
 #include "src/util/fp.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -8,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 namespace genprove {
 namespace {
@@ -26,14 +32,35 @@ TEST(DirectedRounding, DisabledByDefault) {
   EXPECT_FALSE(soundRoundingEnabled());
 }
 
-/// Every directed op must bracket the exact (long double) result.
+/// Every directed op must bracket the exact (long double) result, also for
+/// cancelling operands, zero operands (where the exact-result rule returns
+/// the round-to-nearest value unnudged) and operands in the subnormal
+/// range (exactly representable in the wider long double).
 TEST(DirectedRounding, OpsBracketExactValue) {
   Rng Gen(42);
-  for (int I = 0; I < 10000; ++I) {
-    const double A = std::ldexp(Gen.uniform(-1.0, 1.0),
-                                static_cast<int>(Gen.below(41)) - 20);
-    const double B = std::ldexp(Gen.uniform(-1.0, 1.0),
-                                static_cast<int>(Gen.below(41)) - 20);
+  const auto Operand = [&Gen](bool Subnormal) {
+    return Subnormal
+               ? std::ldexp(Gen.uniform(-1.0, 1.0),
+                            -1022 - static_cast<int>(Gen.below(53)))
+               : std::ldexp(Gen.uniform(-1.0, 1.0),
+                            static_cast<int>(Gen.below(41)) - 20);
+  };
+  for (int I = 0; I < 20000; ++I) {
+    const double A = Operand(Gen.below(4) == 0);
+    double B = Operand(Gen.below(4) == 0);
+    switch (Gen.below(8)) {
+    case 0:
+      B = -A; // cancels in a + b
+      break;
+    case 1:
+      B = A; // cancels in a - b
+      break;
+    case 2:
+      B = Gen.below(2) ? 0.0 : -0.0;
+      break;
+    default:
+      break;
+    }
     const long double La = A, Lb = B;
     EXPECT_GE(static_cast<long double>(fp::addUp(A, B)), La + Lb);
     EXPECT_LE(static_cast<long double>(fp::addDown(A, B)), La + Lb);
@@ -41,11 +68,160 @@ TEST(DirectedRounding, OpsBracketExactValue) {
     EXPECT_LE(static_cast<long double>(fp::subDown(A, B)), La - Lb);
     EXPECT_GE(static_cast<long double>(fp::mulUp(A, B)), La * Lb);
     EXPECT_LE(static_cast<long double>(fp::mulDown(A, B)), La * Lb);
+    EXPECT_GE(static_cast<long double>(fp::mulUp(B, A)), La * Lb);
+    EXPECT_LE(static_cast<long double>(fp::mulDown(B, A)), La * Lb);
     if (B != 0.0) {
       EXPECT_GE(static_cast<long double>(fp::divUp(A, B)), La / Lb);
       EXPECT_LE(static_cast<long double>(fp::divDown(A, B)), La / Lb);
     }
+    if (A != 0.0) {
+      EXPECT_GE(static_cast<long double>(fp::divUp(B, A)), Lb / La);
+      EXPECT_LE(static_cast<long double>(fp::divDown(B, A)), Lb / La);
+    }
   }
+}
+
+/// The inline bit step is bitwise nextafter toward +-inf, for every class
+/// of input and a large sample of random bit patterns, in both widths.
+TEST(DirectedRounding, StepMatchesNextafter) {
+  const auto Same = [](auto X, auto Y) {
+    return std::memcmp(&X, &Y, sizeof(X)) == 0;
+  };
+  const auto CheckDouble = [&Same](double X) {
+    constexpr double Inf = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(Same(fp::up(X), std::nextafter(X, Inf))) << X;
+    EXPECT_TRUE(Same(fp::down(X), std::nextafter(X, -Inf))) << X;
+  };
+  const auto CheckFloat = [&Same](float X) {
+    constexpr float Inf = std::numeric_limits<float>::infinity();
+    EXPECT_TRUE(Same(fp::upF(X), std::nextafterf(X, Inf))) << X;
+    EXPECT_TRUE(Same(fp::downF(X), std::nextafterf(X, -Inf))) << X;
+  };
+  using D = std::numeric_limits<double>;
+  using F = std::numeric_limits<float>;
+  for (double X : {0.0, D::denorm_min(), D::min(), D::max(), D::infinity(),
+                   D::quiet_NaN(), 1.0}) {
+    CheckDouble(X);
+    CheckDouble(-X);
+  }
+  for (float X : {0.0f, F::denorm_min(), F::min(), F::max(), F::infinity(),
+                  F::quiet_NaN(), 1.0f}) {
+    CheckFloat(X);
+    CheckFloat(-X);
+  }
+  Rng Gen(2027);
+  for (int I = 0; I < 100000; ++I) {
+    const uint64_t Bits = Gen.next();
+    double X;
+    std::memcpy(&X, &Bits, sizeof(X));
+    CheckDouble(X);
+    const uint32_t Low = static_cast<uint32_t>(Bits >> 32);
+    float Y;
+    std::memcpy(&Y, &Low, sizeof(Y));
+    CheckFloat(Y);
+  }
+}
+
+/// An exactly representable result is returned as is; every other one is
+/// still nudged, including a product that underflows to zero.
+TEST(DirectedRounding, ExactResultsAreNotNudged) {
+  Rng Gen(5);
+  for (int I = 0; I < 1000; ++I) {
+    const double X = std::ldexp(Gen.uniform(-1.0, 1.0),
+                                static_cast<int>(Gen.below(200)) - 100);
+    const double Y = std::ldexp(Gen.uniform(0.5, 1.0),
+                                static_cast<int>(Gen.below(200)) - 100);
+    EXPECT_EQ(fp::addUp(X, -X), 0.0);
+    EXPECT_EQ(fp::addDown(X, -X), 0.0);
+    EXPECT_EQ(fp::subUp(X, X), 0.0);
+    EXPECT_EQ(fp::subDown(X, X), 0.0);
+    EXPECT_EQ(fp::mulUp(0.0, Y), 0.0);
+    EXPECT_EQ(fp::mulDown(X, -0.0), 0.0);
+    EXPECT_EQ(fp::divUp(0.0, Y), 0.0);
+    EXPECT_EQ(fp::divDown(-0.0, Y), 0.0);
+  }
+  EXPECT_EQ(fp::subUp(0.0, 0.0), 0.0); // the dead-ReLU radius
+  EXPECT_EQ(fp::addUp(std::fabs(0.0), 0.0), 0.0); // a zero magnitude
+  EXPECT_GT(fp::mulUp(1e-200, 1e-200), 0.0);      // underflow is nudged
+  EXPECT_LT(fp::mulDown(1e-200, 1e-200), 0.0);
+  EXPECT_GT(fp::mulUp(-1e-200, 1e-200), 0.0);
+  EXPECT_GT(fp::addUp(1.0, 0x1p-60), 1.0);
+  EXPECT_LT(fp::subDown(1.0, 0x1p-60), 1.0);
+  EXPECT_GT(fp::divUp(1.0, 3.0), 1.0 / 3.0);
+}
+
+/// A sound box through Conv2d -> ReLU -> Conv2d with dead units: the dead
+/// units come out of the ReLU with radius exactly 0 (an exact interval
+/// needs no widening), no center or radius entry anywhere is subnormal,
+/// and round-to-nearest forward passes of sampled inputs stay inside the
+/// final box.
+TEST(DirectedRounding, SoundBoxKeepsDeadUnitsExactAndNormal) {
+  SoundRoundingScope On(true);
+  Rng Gen(31);
+  Sequential Net;
+  auto First = std::make_unique<Conv2d>(2, 4, 3, 1, 1);
+  First->weight() = Tensor::randn({4, 2, 3, 3}, Gen, 0.4);
+  // Channel 0 is dead everywhere on the input box, channel 1 alive.
+  First->bias() = Tensor({4}, {-20.0, 20.0, 0.1, -0.1});
+  Net.add(std::move(First));
+  Net.add(std::make_unique<ReLU>());
+  auto Second = std::make_unique<Conv2d>(4, 3, 3, 2, 1);
+  Second->weight() = Tensor::randn({3, 4, 3, 3}, Gen, 0.4);
+  Second->bias() = Tensor::randn({3}, Gen, 0.1);
+  Net.add(std::move(Second));
+  const std::vector<const Layer *> Layers = Net.view();
+  const Shape InShape({1, 2, 6, 6});
+  const Tensor Center = Tensor::randn({1, 72}, Gen);
+  const Tensor Radius = Tensor::rand({1, 72}, Gen, 0.0, 0.2);
+
+  const auto Propagate = [&](size_t Begin, size_t End, Region Box,
+                             const Shape &In) {
+    PropagateConfig Config;
+    DeviceMemoryModel Memory;
+    PropagateStats Stats;
+    std::vector<Region> Out = propagateRegions(
+        std::vector<const Layer *>(Layers.begin() + Begin,
+                                   Layers.begin() + End),
+        In, {std::move(Box)}, Config, Memory, Stats);
+    EXPECT_EQ(Out.size(), 1u);
+    return Out.front();
+  };
+  const auto ExpectNoSubnormal = [](const Region &Box) {
+    for (int64_t J = 0; J < Box.dim(); ++J) {
+      EXPECT_NE(std::fpclassify(Box.Center[J]), FP_SUBNORMAL) << J;
+      EXPECT_NE(std::fpclassify(Box.Radius[J]), FP_SUBNORMAL) << J;
+    }
+  };
+
+  const Region Input = makeBoxRegion(Center, Radius, 1.0);
+  const Region PreRelu = Propagate(0, 1, Input, InShape);
+  const Region Hidden = Propagate(0, 2, Input, InShape);
+  int64_t Dead = 0;
+  for (int64_t J = 0; J < Hidden.dim(); ++J) {
+    if (fp::addUp(PreRelu.Center[J], PreRelu.Radius[J]) > 0.0)
+      continue; // the sound ReLU's upper endpoint: alive
+    ++Dead;
+    EXPECT_EQ(Hidden.Center[J], 0.0) << J;
+    EXPECT_EQ(Hidden.Radius[J], 0.0) << J;
+  }
+  EXPECT_GE(Dead, 36); // all of channel 0
+  EXPECT_LT(Dead, Hidden.dim());
+  ExpectNoSubnormal(Hidden);
+
+  const Region Out = Propagate(2, 3, Hidden, Shape({1, 4, 6, 6}));
+  ExpectNoSubnormal(Out);
+  Tensor Points({64, 72});
+  for (int64_t P = 0; P < 64; ++P)
+    for (int64_t J = 0; J < 72; ++J)
+      Points.at(P, J) = Center[J] + Radius[J] * Gen.uniform(-1.0, 1.0);
+  const Tensor Images = forwardConcretePoints(Layers, InShape, Points);
+  for (int64_t P = 0; P < 64; ++P)
+    for (int64_t J = 0; J < Out.dim(); ++J) {
+      EXPECT_GE(Images.at(P, J), fp::subDown(Out.Center[J], Out.Radius[J]))
+          << P << "," << J;
+      EXPECT_LE(Images.at(P, J), fp::addUp(Out.Center[J], Out.Radius[J]))
+          << P << "," << J;
+    }
 }
 
 TEST(DirectedRounding, SumBracketsExactSum) {

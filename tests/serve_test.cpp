@@ -619,6 +619,36 @@ TEST_F(ServeEndToEnd, MisShapedRequestIsRejectedAndDaemonKeepsServing) {
   ::close(Fd);
 }
 
+TEST_F(ServeEndToEnd, MisSizedSpecIsRejectedAndDaemonKeepsServing) {
+  startServer(ServeConfig{});
+  const int Fd = connectSocket();
+  ASSERT_GE(Fd, 0);
+  Counter &BadRequests =
+      MetricsRegistry::global().counter("serve.bad_requests");
+  const int64_t BadBefore = BadRequests.value();
+  JsonValue Reply;
+  // The net has 2 outputs; a spec sized for 7 or 3 used to abort the
+  // daemon inside the bounds computation.
+  const auto Line = [](const std::string &Id, const std::string &Spec) {
+    return "{\"type\":\"verify\",\"id\":\"" + Id +
+           "\",\"net\":\"tiny\",\"input_shape\":\"1x2\","
+           "\"start\":[1.0,0.0],\"end\":[2.0,0.5],\"specs\":[\"argmax:0:2\",\"" +
+           Spec + "\"]}";
+  };
+  for (const std::string &Spec : {"argmax:0:7", "halfspace:0:1,2,3"}) {
+    ASSERT_TRUE(roundTrip(Fd, Line("wide", Spec), Reply)) << Spec;
+    EXPECT_EQ(Reply.find("type")->stringOr(""), "error") << Spec;
+    EXPECT_EQ(Reply.find("code")->stringOr(""), "bad_request") << Spec;
+    EXPECT_NE(Reply.find("detail")->stringOr("").find(Spec), std::string::npos)
+        << Spec;
+  }
+  EXPECT_EQ(BadRequests.value() - BadBefore, 2);
+  ASSERT_TRUE(roundTrip(Fd, verifyLine("after", -1.0), Reply));
+  EXPECT_EQ(Reply.find("status")->stringOr(""), "ok");
+  EXPECT_EQ(Reply.find("id")->stringOr(""), "after");
+  ::close(Fd);
+}
+
 TEST_F(ServeEndToEnd, InjectionRefusedWithoutAllowInject) {
   ServeConfig Cfg; // AllowInject defaults off
   startServer(Cfg);

@@ -25,6 +25,21 @@ TEST(Spec, AttributeSignMembership) {
   EXPECT_TRUE(Neg.satisfied(Tensor({1, 4}, {-1.0, 0.0, 0.0, 0.0})));
 }
 
+TEST(Spec, TextParsesEveryKindAtItsWidth) {
+  OutputSpec Spec;
+  std::string Err;
+  ASSERT_TRUE(parseOutputSpecText("halfspace:0.5:1,-2,3", Spec, &Err)) << Err;
+  EXPECT_EQ(Spec.dim(), 3);
+  ASSERT_EQ(Spec.halfspaces().size(), 1u);
+  EXPECT_EQ(Spec.halfspaces()[0].Normal[1], -2.0);
+  EXPECT_EQ(Spec.halfspaces()[0].Offset, 0.5);
+  ASSERT_TRUE(parseOutputSpecText("argmax:1:4", Spec, &Err)) << Err;
+  EXPECT_EQ(Spec.dim(), 4);
+  ASSERT_TRUE(parseOutputSpecText("sign:0:+:2", Spec, &Err)) << Err;
+  EXPECT_EQ(Spec.dim(), 2);
+  EXPECT_FALSE(parseOutputSpecText("halfspace:0:1,x", Spec, &Err));
+}
+
 TEST(Spec, BoxContainmentAndIntersectionForArgmax) {
   const OutputSpec Spec = OutputSpec::argmaxWins(0, 2);
   // Box: y0 in [2, 3], y1 in [0, 1] -> fully contained.

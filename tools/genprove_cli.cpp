@@ -723,13 +723,29 @@ int main(int Argc, char **Argv) {
     Pipeline = concatViews(Pipeline, Net.view());
 
   const Shape InputShape = parseShape(ShapeText);
-  const std::string ShapeError = pipelineShapeError(Pipeline, InputShape);
+  Shape OutputShape;
+  const std::string ShapeError =
+      pipelineShapeError(Pipeline, InputShape, &OutputShape);
   if (!ShapeError.empty()) {
     std::fprintf(stderr,
                  "genprove_cli: --input-shape %s does not fit the "
                  "network: %s\n",
                  InputShape.toString().c_str(), ShapeError.c_str());
     return 2;
+  }
+  // A spec sized for another output width would abort inside the bounds
+  // computation; it is an input error like a mis-shaped input.
+  std::vector<OutputSpec> Specs;
+  for (const std::string &Text : SpecTexts) {
+    Specs.push_back(parseSpec(Text));
+    if (Specs.back().dim() != OutputShape.numel()) {
+      std::fprintf(stderr,
+                   "genprove_cli: --spec %s constrains %lld outputs but the "
+                   "network has %lld\n",
+                   Text.c_str(), static_cast<long long>(Specs.back().dim()),
+                   static_cast<long long>(OutputShape.numel()));
+      return 2;
+    }
   }
   std::vector<std::pair<Tensor, Tensor>> Segments;
   for (size_t I = 0; I < StartPaths.size(); ++I) {
@@ -749,9 +765,6 @@ int main(int Argc, char **Argv) {
   // The sharded paths certify exactly one segment (enforced above).
   const Tensor &Start = Segments.front().first;
   const Tensor &End = Segments.front().second;
-  std::vector<OutputSpec> Specs;
-  for (const std::string &Text : SpecTexts)
-    Specs.push_back(parseSpec(Text));
 
   //===--------------------------------------------------------------------===//
   // Worker mode: certify one shard, speak the wire protocol on stdout.
