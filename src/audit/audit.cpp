@@ -4,7 +4,6 @@
 
 #include "src/core/genprove.h"
 #include "src/domains/hybrid_zonotope.h"
-#include "src/domains/screen.h"
 #include "src/domains/zonotope.h"
 #include "src/interval/interval.h"
 #include "src/nn/architectures.h"
@@ -353,24 +352,25 @@ ModelAudit auditSegment(const std::string &Name,
           std::to_string(FullBounds.Upper) + "]";
     }
 
-    // Per-piece classification consistency against the concrete oracle:
-    // an Inside piece must contain no sample that *certainly* violates
-    // the spec, an Outside piece none that certainly satisfies it
+    // Per-cell classification consistency against the concrete oracle,
+    // classified under sound rounding as the screened run above is:
+    // an Inside cell must contain no sample that *certainly* violates
+    // the spec, an Outside cell none that certainly satisfies it
     // (certainty via a directed enclosure of the concrete functional, so
     // borderline concrete evaluations can never flake the audit).
     DomainAudit Dom;
     Dom.Domain = "screened";
     Dom.Samples = K;
-    const ScreenPlan Plan = buildScreenPlan(Layers);
     const std::vector<double> Cuts =
         planRange(0.0, 1.0, ScreenCfg.ScreenSplits);
-    const Region Full = makeSegmentRegion(Start, End);
     std::vector<ScreenVerdict> Verdicts;
-    for (size_t P = 0; P + 1 < Cuts.size(); ++P)
-      Verdicts.push_back(screenClassify(
-          Plan, restrictCurve(Full, Cuts[P], Cuts[P + 1], 1.0), Adversarial));
+    {
+      SoundRoundingScope On(true);
+      Verdicts = screenCells(Layers, InputShape, makeSegmentRegion(Start, End),
+                             Cuts, Adversarial);
+    }
     for (int64_t I = 0; I < K; ++I) {
-      // The piece whose [Cuts[P], Cuts[P+1]) holds the sample's parameter:
+      // The cell whose [Cuts[P], Cuts[P+1]) holds the sample's parameter:
       // the first interior cut above T closes it.
       const auto Above = std::upper_bound(Cuts.begin() + 1, Cuts.end() - 1,
                                           Ts[static_cast<size_t>(I)]);

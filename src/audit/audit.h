@@ -34,7 +34,7 @@ struct AuditConfig {
   /// Audit the two-tier screened path end-to-end: run
   /// analyzeSegmentScreened against a borderline-heavy adversarial spec
   /// (the halfspace boundary slices through the middle of the observed
-  /// output range), check per-piece classification consistency against the
+  /// output range), check per-cell classification consistency against the
   /// concrete oracle, and check the screened interval overlaps the full
   /// sound tier's.
   bool Screened = true;
@@ -64,9 +64,9 @@ struct ModelAudit {
   std::vector<LayerDilation> Layers;
   bool DifferentialOk = true;
   std::string DifferentialNote;
-  /// Two-tier screen telemetry for the adversarial-spec audit (pieces
-  /// classified by the float32 screen; all-borderline when the pipeline
-  /// contains layers the screen cannot compile).
+  /// Two-tier screen telemetry for the adversarial-spec audit: cells the
+  /// DeepZono screen decided inside or outside, and cells it left to the
+  /// full tier.
   int64_t ScreenedInside = 0;
   int64_t ScreenedOutside = 0;
   int64_t ScreenedBorderline = 0;

@@ -3,7 +3,7 @@
 #include "src/core/genprove.h"
 
 #include "src/domains/prop_cache.h"
-#include "src/domains/screen.h"
+#include "src/domains/zonotope.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tensor/ops.h"
@@ -400,16 +400,17 @@ AnalysisResult GenProve::analyzeSegmentScreened(
                                         End.reshaped({1, End.numel()}));
   const ParamCdf Cdf = makeCdf(Config.Distribution);
   const std::vector<double> Cuts = planRange(T0, T1, Config.ScreenSplits);
-  const ScreenPlan Plan = buildScreenPlan(Layers);
   const bool Sound = soundRoundingEnabled();
 
-  // Screening tier: classify each piece of [T0, T1]. An inside piece is a
-  // part of the union whose bounds are its CDF mass (rounded down for the
-  // lower bound, up for the upper when sound rounding is on); outside
-  // pieces contribute nothing; borderline pieces collect into ONE batched
-  // sound propagation, whose regions keep their global parameter
-  // sub-ranges so the double tier's exact curve-mass machinery applies
-  // unchanged.
+  // Screening tier: DeepZono classifies the cells of [T0, T1] coarse to
+  // fine. An inside cell is a part of the union whose bounds are its CDF
+  // mass (rounded down for the lower bound, up for the upper when sound
+  // rounding is on); outside cells contribute nothing; borderline cells
+  // collect into ONE batched propagation, whose regions keep their global
+  // parameter sub-ranges so the full tier's exact curve-mass machinery
+  // applies unchanged.
+  const std::vector<ScreenVerdict> Cells =
+      screenCells(Layers, InputShape, Full, Cuts, Spec);
   int64_t NumInside = 0, NumOutside = 0;
   double BorderMassUp = 0.0;
   std::vector<ProbBounds> Parts;
@@ -418,8 +419,7 @@ AnalysisResult GenProve::analyzeSegmentScreened(
     const double P0 = Cuts[I], P1 = Cuts[I + 1];
     const double Weight =
         Sound ? fp::subUp(Cdf(P1), Cdf(P0)) : Cdf(P1) - Cdf(P0);
-    Region Piece = restrictCurve(Full, P0, P1, Weight);
-    switch (screenClassify(Plan, Piece, Spec)) {
+    switch (Cells[I]) {
     case ScreenVerdict::Inside:
       ++NumInside;
       Parts.push_back(
@@ -431,7 +431,7 @@ AnalysisResult GenProve::analyzeSegmentScreened(
     case ScreenVerdict::Borderline:
       BorderMassUp =
           Sound ? fp::addUp(BorderMassUp, Weight) : BorderMassUp + Weight;
-      Border.push_back(std::move(Piece));
+      Border.push_back(restrictCurve(Full, P0, P1, Weight));
       break;
     }
   }
@@ -440,7 +440,7 @@ AnalysisResult GenProve::analyzeSegmentScreened(
   OutsideCtr.add(NumOutside);
   BorderCtr.add(NumBorder);
 
-  // Sound tier: one batched propagation of every borderline piece. When
+  // Full tier: one batched propagation of every borderline cell. When
   // the borderline set cannot be analyzed its mass stays fully uncertain,
   // but the screened inside mass is still a sound floor.
   AnalysisResult Result;

@@ -61,14 +61,12 @@ struct GenProveConfig {
   /// on resilient or fault-injected runs; warm-started bounds are
   /// bit-identical to cold ones.
   bool UseCache = true;
-  /// Two-tier precision fast path for analyzeSegment: a float32 screening
-  /// propagation classifies each parameter-range piece as clearly-inside /
-  /// clearly-outside / borderline using a sound error-margin cushion
-  /// (fp::accumulationBound's float analogue); only borderline pieces
-  /// re-run under the double-precision directed-rounding tier, so every
-  /// reported bound comes from the sound tier.
+  /// Two-tier fast path for analyzeSegment: the DeepZono screen
+  /// (screenCells, domains/zonotope.h) classifies parameter-range cells
+  /// coarse to fine as inside / outside / borderline; only borderline
+  /// cells run the full analysis, decided cells add their CDF mass.
   bool FastScreen = false;
-  /// Pieces the screen splits the parameter range into.
+  /// Cells of the screen's finest grid over the parameter range.
   int64_t ScreenSplits = 32;
 };
 
@@ -113,9 +111,9 @@ struct AnalysisResult {
   // Two-tier screening telemetry (analyzeSegmentScreened); Screened is
   // false on the full-tier path.
   bool Screened = false;
-  int64_t ScreenedInside = 0;     ///< pieces decided inside by the screen
-  int64_t ScreenedOutside = 0;    ///< pieces decided outside by the screen
-  int64_t ScreenedBorderline = 0; ///< pieces escalated to the sound tier
+  int64_t ScreenedInside = 0;     ///< cells decided inside by the screen
+  int64_t ScreenedOutside = 0;    ///< cells decided outside by the screen
+  int64_t ScreenedBorderline = 0; ///< cells escalated to the full tier
 };
 
 /// The verifier.
@@ -189,16 +187,13 @@ public:
                                 const OutputSpec &Spec) const;
 
   /// Two-tier candidate-then-certify analysis of the parameter sub-range
-  /// [T0, T1] of the segment Start->End: split it into Config.ScreenSplits
-  /// pieces, classify each with a float32 screening propagation carrying
-  /// a sound error cushion, take the inside pieces' probability mass from
-  /// the input CDF directly, and re-run only the borderline pieces under
-  /// the sound double tier. The reported bounds therefore come exclusively
-  /// from sound arithmetic: the CDF mass of pieces the screen *proved*
-  /// inside (the float interval enclosure plus cushion encloses the true
-  /// double enclosure) and the sound bounds of the borderline set. Pieces
-  /// the screen cannot handle (unsupported layer kinds) are classified
-  /// borderline, collapsing to the full sound path.
+  /// [T0, T1] of the segment Start->End: cut it into Config.ScreenSplits
+  /// cells, classify them coarse to fine with the DeepZono screen, take
+  /// the inside cells' probability mass from the input CDF directly, and
+  /// run only the borderline cells (one batched propagation) under the
+  /// full tier. The reported bounds come from the CDF mass of cells the
+  /// screen *proved* inside and the full tier's bounds of the borderline
+  /// set; under sound rounding both are rigorous.
   AnalysisResult
   analyzeSegmentScreened(const std::vector<const Layer *> &Layers,
                          const Shape &InputShape, const Tensor &Start,

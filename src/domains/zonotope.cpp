@@ -2,6 +2,7 @@
 
 #include "src/domains/zonotope.h"
 
+#include "src/util/error.h"
 #include "src/util/fp.h"
 
 #include <algorithm>
@@ -50,20 +51,49 @@ ZonoState initState(const Tensor &Start, const Tensor &End) {
   return St;
 }
 
-/// Directed-up column sums of |Gens| (plain accumulation when sound
-/// rounding is off).
-Tensor absColumnSums(const Tensor &Gens) {
-  const int64_t G = Gens.dim(0);
+/// The zonotope of a degree-1 curve piece over its own [T0, T1], from its
+/// coefficients (see screenPieces). In sound mode the slack covers the
+/// rounding of the midpoint m, the half-width h, the center A0 + A1 m and
+/// the generator A1 h (together at most 2.5 eps (|A0| + |A1| Tmax), with
+/// Tmax = max(|T0|, |T1|)) and the deviation of a double-evaluated point
+/// A0 + A1 t from the exact line (at most eps (|A0| + |A1| Tmax)), with
+/// the same 8 eps cushion initState uses.
+ZonoState pieceState(const Region &Piece) {
+  check(Piece.Kind == RegionKind::Curve && Piece.degree() == 1,
+        "screen pieces are degree-1 curves");
+  const int64_t N = Piece.dim();
+  ZonoState St{Tensor({1, N}), Tensor({1, N}), Tensor({1, N})};
+  const bool Sound = soundRoundingEnabled();
+  const double Mid = 0.5 * (Piece.T0 + Piece.T1);
+  const double Half = 0.5 * (Piece.T1 - Piece.T0);
+  const double TMax = std::max(std::fabs(Piece.T0), std::fabs(Piece.T1));
+  for (int64_t J = 0; J < N; ++J) {
+    const double A0 = Piece.Coeffs.at(0, J), A1 = Piece.Coeffs.at(1, J);
+    St.Center[J] = A0 + A1 * Mid;
+    St.Gens.at(0, J) = A1 * Half;
+    if (Sound)
+      St.Slack[J] = fp::mulUp(
+          8.0 * DBL_EPSILON,
+          fp::addUp(std::fabs(A0), fp::mulUp(std::fabs(A1), TMax)));
+  }
+  return St;
+}
+
+/// Sums[j] + sum_g |Gens[g, j]| for every column j, directed up when
+/// sound rounding is on. The walk is row by row over contiguous memory,
+/// and each column still accumulates in the order g = 0, 1, ...
+std::vector<double> absColumnSums(const Tensor &Gens,
+                                  std::vector<double> Sums) {
   const int64_t N = Gens.dim(1);
   const bool Sound = soundRoundingEnabled();
-  Tensor Sums({1, N});
-  for (int64_t J = 0; J < N; ++J) {
-    double Acc = 0.0;
-    for (int64_t Row = 0; Row < G; ++Row) {
-      const double A = std::fabs(Gens.at(Row, J));
-      Acc = Sound ? fp::addUp(Acc, A) : Acc + A;
-    }
-    Sums[J] = Acc;
+  for (int64_t Row = 0; Row < Gens.dim(0); ++Row) {
+    const double *G = Gens.data() + Row * N;
+    if (Sound)
+      for (int64_t J = 0; J < N; ++J)
+        Sums[J] = fp::addUp(Sums[J], std::fabs(G[J]));
+    else
+      for (int64_t J = 0; J < N; ++J)
+        Sums[J] += std::fabs(G[J]);
   }
   return Sums;
 }
@@ -82,10 +112,38 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
   const int64_t K = static_cast<int64_t>(States.size());
   const int64_t N = States.front().Center.numel();
 
-  Tensor Centers({K, N});
+  // Sound mode: rows [0, K) of one box call have zero centers and the
+  // magnitude bound |x| <= |c| + sum_g |g| + slack of any represented (or
+  // concretely forwarded) point as radii, so they yield the bias images
+  // and |A| * Mag; rows [K, 2K) carry the centers and slacks, so they
+  // yield the new centers (the box center map is the kernel applyAffine
+  // runs) and |A| * slack. Round-to-nearest mode maps the centers alone.
+  const int64_t BoxRows = Sound ? 2 * K : K;
+  Tensor Centers({BoxRows, N});
+  Tensor Radii;
   for (int64_t I = 0; I < K; ++I)
     std::copy(States[I].Center.data(), States[I].Center.data() + N,
-              Centers.data() + I * N);
+              Centers.data() + (BoxRows - K + I) * N);
+  if (Sound) {
+    Radii = Tensor({BoxRows, N});
+    for (int64_t I = 0; I < K; ++I) {
+      const ZonoState &St = States[I];
+      const std::vector<double> Mag =
+          absColumnSums(St.Gens, std::vector<double>(N, 0.0));
+      for (int64_t J = 0; J < N; ++J)
+        Radii.at(I, J) = fp::addUp(
+            Mag[J], fp::addUp(std::fabs(St.Center[J]), St.Slack[J]));
+      std::copy(St.Slack.data(), St.Slack.data() + N,
+                Radii.data() + (K + I) * N);
+    }
+    Tensor CenterActs = reshapeRows(Centers, CurShape);
+    Tensor RadiusActs = reshapeRows(Radii, CurShape);
+    L->applyToBox(CenterActs, RadiusActs);
+    Centers = flattenRows(CenterActs);
+    Radii = flattenRows(RadiusActs);
+  } else {
+    Centers = flattenRows(L->applyAffine(reshapeRows(Centers, CurShape)));
+  }
 
   int64_t SumG = 0;
   for (const ZonoState &St : States)
@@ -99,42 +157,6 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
       Row += St.Gens.dim(0);
     }
   }
-
-  Tensor Mags, BiasImages, Slacks;
-  if (Sound) {
-    // Magnitude bound on any represented (or concretely forwarded) point:
-    // |x| <= |c| + sum_g |g| + slack, per state.
-    Mags = Tensor({K, N});
-    Slacks = Tensor({K, N});
-    for (int64_t I = 0; I < K; ++I) {
-      const ZonoState &St = States[I];
-      Tensor Mag = absColumnSums(St.Gens);
-      for (int64_t J = 0; J < N; ++J)
-        Mags.at(I, J) = fp::addUp(
-            Mag[J], fp::addUp(std::fabs(St.Center[J]), St.Slack[J]));
-      std::copy(St.Slack.data(), St.Slack.data() + N, Slacks.data() + I * N);
-    }
-    // One box application on zero centers yields the bias images and
-    // |A| * Mag; a second one propagates the slacks themselves through
-    // |A|.
-    BiasImages = Tensor({K, N});
-    {
-      Tensor BiasActs = reshapeRows(BiasImages, CurShape);
-      Tensor MagActs = reshapeRows(Mags, CurShape);
-      L->applyToBox(BiasActs, MagActs);
-      BiasImages = flattenRows(BiasActs);
-      Mags = flattenRows(MagActs);
-    }
-    {
-      Tensor SlackCenters = Centers.clone();
-      Tensor CenterActs = reshapeRows(SlackCenters, CurShape);
-      Tensor SlackActs = reshapeRows(Slacks, CurShape);
-      L->applyToBox(CenterActs, SlackActs);
-      Slacks = flattenRows(SlackActs);
-    }
-  }
-
-  Centers = flattenRows(L->applyAffine(reshapeRows(Centers, CurShape)));
   AllGens = flattenRows(L->applyLinear(reshapeRows(AllGens, CurShape)));
 
   // gamma * (|A| Mag + |b|) bounds, with a wide margin, the sum of the
@@ -147,9 +169,10 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
   for (int64_t I = 0; I < K; ++I) {
     ZonoState &St = States[I];
     const int64_t G = St.Gens.dim(0);
+    const int64_t CenterRow = BoxRows - K + I;
     Tensor NewCenter({1, OutN});
-    std::copy(Centers.data() + I * OutN, Centers.data() + (I + 1) * OutN,
-              NewCenter.data());
+    std::copy(Centers.data() + CenterRow * OutN,
+              Centers.data() + (CenterRow + 1) * OutN, NewCenter.data());
     Tensor NewGens({G, OutN});
     std::copy(AllGens.data() + Row * OutN, AllGens.data() + (Row + G) * OutN,
               NewGens.data());
@@ -158,10 +181,9 @@ void applyAffineToStates(const Layer *L, const Shape &CurShape,
     if (Sound)
       for (int64_t J = 0; J < OutN; ++J)
         NewSlack[J] = fp::addUp(
-            Slacks.at(I, J),
-            fp::mulUp(Gamma,
-                      fp::addUp(Mags.at(I, J),
-                                std::fabs(BiasImages.at(I, J)))));
+            Radii.at(K + I, J),
+            fp::mulUp(Gamma, fp::addUp(Radii.at(I, J),
+                                       std::fabs(Centers.at(I, J)))));
     St.Center = std::move(NewCenter);
     St.Gens = std::move(NewGens);
     St.Slack = std::move(NewSlack);
@@ -175,22 +197,22 @@ void applyReluToState(ZonotopeKind Kind, ZonoState &St) {
   const bool Sound = soundRoundingEnabled();
   const int64_t Dim = St.Center.numel();
   const int64_t G = St.Gens.dim(0);
-  std::vector<std::pair<int64_t, double>> Fresh; // (dim, coefficient)
+  const std::vector<double> Spread = absColumnSums(
+      St.Gens, Sound ? std::vector<double>(St.Slack.data(),
+                                           St.Slack.data() + Dim)
+                     : std::vector<double>(Dim, 0.0));
+  std::vector<int64_t> Zeroed;                   // columns set to 0
+  std::vector<std::pair<int64_t, double>> Scaled; // (column, lambda)
+  std::vector<std::pair<int64_t, double>> Fresh;  // (dim, coefficient)
   for (int64_t J = 0; J < Dim; ++J) {
-    double Spread = Sound ? St.Slack[J] : 0.0;
-    for (int64_t Row = 0; Row < G; ++Row) {
-      const double A = std::fabs(St.Gens.at(Row, J));
-      Spread = Sound ? fp::addUp(Spread, A) : Spread + A;
-    }
-    const double Lo = Sound ? fp::subDown(St.Center[J], Spread)
-                            : St.Center[J] - Spread;
-    const double Hi = Sound ? fp::addUp(St.Center[J], Spread)
-                            : St.Center[J] + Spread;
+    const double Lo = Sound ? fp::subDown(St.Center[J], Spread[J])
+                            : St.Center[J] - Spread[J];
+    const double Hi = Sound ? fp::addUp(St.Center[J], Spread[J])
+                            : St.Center[J] + Spread[J];
     if (Hi <= 0.0) {
       St.Center[J] = 0.0;
       St.Slack[J] = 0.0;
-      for (int64_t Row = 0; Row < G; ++Row)
-        St.Gens.at(Row, J) = 0.0;
+      Zeroed.push_back(J);
     } else if (Lo < 0.0) {
       if (Kind == ZonotopeKind::DeepZono) {
         // Minimal-area parallelogram: y = lambda*x + mu +- mu.
@@ -202,7 +224,7 @@ void applyReluToState(ZonotopeKind Kind, ZonoState &St) {
           // ULPs, as do the rescaled center/generators. All of it lands
           // in the slack.
           const double M = std::max(std::fabs(Lo), Hi);
-          const double SumG = fp::subUp(Spread, St.Slack[J]);
+          const double SumG = fp::subUp(Spread[J], St.Slack[J]);
           const double Inner = fp::addUp(
               std::fabs(Mu),
               fp::mulUp(Lambda,
@@ -214,8 +236,7 @@ void applyReluToState(ZonotopeKind Kind, ZonoState &St) {
                                   fp::mulUp(16.0 * DBL_EPSILON, Inner));
         }
         St.Center[J] = Lambda * St.Center[J] + Mu;
-        for (int64_t Row = 0; Row < G; ++Row)
-          St.Gens.at(Row, J) *= Lambda;
+        Scaled.emplace_back(J, Lambda);
         Fresh.emplace_back(J, Mu);
       } else {
         // AI2-style: forget the affine form, use [0, Hi]. In sound mode
@@ -224,12 +245,18 @@ void applyReluToState(ZonotopeKind Kind, ZonoState &St) {
         const double Half = Sound ? fp::mulUp(0.5, Hi) : Hi / 2.0;
         St.Center[J] = Half;
         St.Slack[J] = 0.0;
-        for (int64_t Row = 0; Row < G; ++Row)
-          St.Gens.at(Row, J) = 0.0;
+        Zeroed.push_back(J);
         Fresh.emplace_back(J, Half);
       }
     }
     // Lo >= 0: identity (exact; slack carries over unchanged).
+  }
+  for (int64_t Row = 0; Row < G; ++Row) {
+    double *GRow = St.Gens.data() + Row * Dim;
+    for (const int64_t J : Zeroed)
+      GRow[J] = 0.0;
+    for (const auto &[J, Lambda] : Scaled)
+      GRow[J] *= Lambda;
   }
   if (!Fresh.empty()) {
     Tensor NewGens({G + static_cast<int64_t>(Fresh.size()), Dim});
@@ -242,19 +269,15 @@ void applyReluToState(ZonotopeKind Kind, ZonoState &St) {
   }
 }
 
-/// Propagate many segments through the pipeline as one joint state.
+/// Propagate many initial states through the pipeline as one joint state.
 /// Returns false on OOM; the per-layer device charge is the sum of every
 /// state's charge, since the joint state is resident at once.
 /// Peak/generator telemetry accumulates into Result.
-bool propagateZonotopeBatch(
-    const std::vector<const Layer *> &Layers, const Shape &InputShape,
-    const std::vector<std::pair<Tensor, Tensor>> &Segments, ZonotopeKind Kind,
-    DeviceMemoryModel &Memory, std::vector<ZonoState> &States,
-    ConvexResult &Result) {
-  States.clear();
-  States.reserve(Segments.size());
-  for (const auto &Seg : Segments)
-    States.push_back(initState(Seg.first, Seg.second));
+bool propagateZonotopeBatch(const std::vector<const Layer *> &Layers,
+                            const Shape &InputShape, ZonotopeKind Kind,
+                            DeviceMemoryModel &Memory,
+                            std::vector<ZonoState> &States,
+                            ConvexResult &Result) {
   Shape CurShape = InputShape;
   // Telemetry + budget charge for a layer boundary.
   auto Charge = [&]() {
@@ -292,11 +315,10 @@ bool propagateZonotope(const std::vector<const Layer *> &Layers,
                        const Tensor &End, ZonotopeKind Kind,
                        DeviceMemoryModel &Memory, ZonoState &St,
                        ConvexResult &Result) {
-  std::vector<std::pair<Tensor, Tensor>> Segments;
-  Segments.emplace_back(Start, End);
   std::vector<ZonoState> States;
-  if (!propagateZonotopeBatch(Layers, InputShape, Segments, Kind, Memory,
-                              States, Result))
+  States.push_back(initState(Start, End));
+  if (!propagateZonotopeBatch(Layers, InputShape, Kind, Memory, States,
+                              Result))
     return false;
   St = std::move(States.front());
   return true;
@@ -320,7 +342,7 @@ ProbBounds liftedBounds(const ZonoState &St, const OutputSpec &Spec) {
           Dot += H.Normal[J] * St.Gens.at(G, J);
         Spread += std::fabs(Dot);
       }
-      if (Mid - Spread <= 0.0)
+      if (!(Mid - Spread > 0.0)) // NaN never certifies containment
         Contained = false;
       if (Mid + Spread <= 0.0)
         Intersects = false;
@@ -345,7 +367,7 @@ ProbBounds liftedBounds(const ZonoState &St, const OutputSpec &Spec) {
       SpreadUp = fp::addUp(SpreadUp, std::max(std::fabs(DotLo),
                                               std::fabs(DotHi)));
     }
-    if (fp::subDown(MidLo, SpreadUp) <= 0.0)
+    if (!(fp::subDown(MidLo, SpreadUp) > 0.0))
       Contained = false;
     if (fp::addUp(MidHi, SpreadUp) <= 0.0)
       Intersects = false;
@@ -393,8 +415,11 @@ analyzeZonotopeBatch(const std::vector<const Layer *> &Layers,
     return Out;
   ConvexResult Joint;
   std::vector<ZonoState> States;
-  if (!propagateZonotopeBatch(Layers, InputShape, Segments, Kind, Memory,
-                              States, Joint)) {
+  States.reserve(K);
+  for (const auto &Seg : Segments)
+    States.push_back(initState(Seg.first, Seg.second));
+  if (!propagateZonotopeBatch(Layers, InputShape, Kind, Memory, States,
+                              Joint)) {
     // The joint state blew the budget: fall back to sequential
     // per-segment analyses, which see exactly what a caller-side loop
     // would (each segment charges the device on its own).
@@ -447,6 +472,64 @@ zonotopeOutputBounds(const std::vector<const Layer *> &Layers,
     Out.Hi[J] = fp::addUp(St.Center[J], Spread);
   }
   return Out;
+}
+
+std::vector<ScreenVerdict>
+screenPieces(const std::vector<const Layer *> &Layers, const Shape &InputShape,
+             const std::vector<Region> &Pieces, const OutputSpec &Spec) {
+  std::vector<ScreenVerdict> Verdicts(Pieces.size(),
+                                      ScreenVerdict::Borderline);
+  std::vector<ZonoState> States;
+  States.reserve(Pieces.size());
+  for (const Region &Piece : Pieces)
+    States.push_back(pieceState(Piece));
+  DeviceMemoryModel Unbudgeted;
+  ConvexResult Telemetry;
+  if (States.empty() ||
+      !propagateZonotopeBatch(Layers, InputShape, ZonotopeKind::DeepZono,
+                              Unbudgeted, States, Telemetry))
+    return Verdicts;
+  for (size_t I = 0; I < States.size(); ++I) {
+    const ProbBounds B = liftedBounds(States[I], Spec);
+    if (B.Lower == 1.0)
+      Verdicts[I] = ScreenVerdict::Inside;
+    else if (B.Upper == 0.0)
+      Verdicts[I] = ScreenVerdict::Outside;
+  }
+  return Verdicts;
+}
+
+std::vector<ScreenVerdict>
+screenCells(const std::vector<const Layer *> &Layers, const Shape &InputShape,
+            const Region &Curve, const std::vector<double> &Cuts,
+            const OutputSpec &Spec) {
+  check(Cuts.size() >= 2, "a cell grid needs at least one cell");
+  std::vector<ScreenVerdict> Cells(Cuts.size() - 1,
+                                   ScreenVerdict::Borderline);
+  // Cell index ranges [first, second) still to classify, coarsest first.
+  std::vector<std::pair<size_t, size_t>> Ranges{{0, Cells.size()}};
+  while (!Ranges.empty()) {
+    std::vector<Region> Pieces;
+    Pieces.reserve(Ranges.size());
+    for (const auto &[A, B] : Ranges)
+      Pieces.push_back(restrictCurve(Curve, Cuts[A], Cuts[B], 1.0));
+    const std::vector<ScreenVerdict> Verdicts =
+        screenPieces(Layers, InputShape, Pieces, Spec);
+    std::vector<std::pair<size_t, size_t>> Next;
+    for (size_t I = 0; I < Ranges.size(); ++I) {
+      const auto [A, B] = Ranges[I];
+      if (Verdicts[I] != ScreenVerdict::Borderline) {
+        std::fill(Cells.begin() + static_cast<std::ptrdiff_t>(A),
+                  Cells.begin() + static_cast<std::ptrdiff_t>(B), Verdicts[I]);
+      } else if (B - A > 1) {
+        const size_t Mid = A + (B - A) / 2;
+        Next.emplace_back(A, Mid);
+        Next.emplace_back(Mid, B);
+      }
+    }
+    Ranges = std::move(Next);
+  }
+  return Cells;
 }
 
 } // namespace genprove

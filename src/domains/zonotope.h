@@ -19,7 +19,9 @@
 ///
 /// Lifted probabilistically (Section 4, "Lifting"), a convex domain can
 /// only ever certify l = 1 (fully contained) or u = 0 (fully disjoint);
-/// anything else yields the trivial [0, 1].
+/// anything else yields the trivial [0, 1]. Those two certificates are
+/// exactly the verdicts of the two-tier screen (GenProveConfig::FastScreen),
+/// so screenCells() below classifies parameter-range pieces with DeepZono.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +30,11 @@
 
 #include "src/core/spec.h"
 #include "src/domains/memory_model.h"
+#include "src/domains/region.h"
 #include "src/nn/sequential.h"
 
 #include <utility>
+#include <vector>
 
 namespace genprove {
 
@@ -94,6 +98,35 @@ zonotopeOutputBounds(const std::vector<const Layer *> &Layers,
                      const Shape &InputShape, const Tensor &Start,
                      const Tensor &End, ZonotopeKind Kind,
                      DeviceMemoryModel &Memory);
+
+/// Screen classification of one parameter-range piece: every point of it
+/// satisfies the spec (Inside), none does (Outside), or neither is proven
+/// (Borderline: the piece must run under the full analysis).
+enum class ScreenVerdict : uint8_t { Inside, Outside, Borderline };
+
+/// Classify degree-1 curve pieces (restrictCurve results) against \p Spec
+/// with one batched DeepZono propagation: lifted {1, 1} is Inside, {0, 0}
+/// Outside, anything else Borderline. Each piece's zonotope is built from
+/// its coefficients (center A0 + A1 m, generator A1 h over its own
+/// [T0, T1] = [m - h, m + h]); under sound rounding its slack bounds the
+/// evaluation error by the coefficient magnitudes,
+/// 8 eps (|A0| + |A1| max(|T0|, |T1|)), never by evaluated endpoints,
+/// which may cancel to nearly zero while each term is off by eps |A0|. The
+/// propagation charges an unbudgeted device model.
+std::vector<ScreenVerdict>
+screenPieces(const std::vector<const Layer *> &Layers, const Shape &InputShape,
+             const std::vector<Region> &Pieces, const OutputSpec &Spec);
+
+/// Coarse-to-fine screen of \p Curve over the cell grid \p Cuts (a
+/// planRange result): classify the whole [Cuts.front(), Cuts.back()]
+/// first, then halve only the borderline index ranges, one batched
+/// screenPieces() call per level, until a borderline range is a single
+/// cell. Returns one verdict per cell [Cuts[i], Cuts[i+1]]; a cell inherits
+/// the verdict of the largest range holding it that was decided.
+std::vector<ScreenVerdict>
+screenCells(const std::vector<const Layer *> &Layers, const Shape &InputShape,
+            const Region &Curve, const std::vector<double> &Cuts,
+            const OutputSpec &Spec);
 
 } // namespace genprove
 

@@ -11,6 +11,13 @@ Sequential &Sequential::add(LayerPtr NewLayer) {
   return *this;
 }
 
+Sequential &Sequential::append(Sequential &&Tail) {
+  for (LayerPtr &L : Tail.Layers)
+    Layers.push_back(std::move(L));
+  Tail.Layers.clear();
+  return *this;
+}
+
 Tensor Sequential::forward(const Tensor &Input) {
   Tensor Activation = Input;
   for (auto &L : Layers)

@@ -24,6 +24,9 @@ public:
   /// Append a layer (builder style).
   Sequential &add(LayerPtr NewLayer);
 
+  /// Append every layer of \p Tail, e.g. a classifier after a decoder.
+  Sequential &append(Sequential &&Tail);
+
   /// Training forward pass (caches activations inside the layers).
   Tensor forward(const Tensor &Input);
 

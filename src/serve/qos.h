@@ -13,9 +13,9 @@
 ///                                time so the PR-3 ladder bounds the tail;
 ///                                with the request's fast-screen opt-in
 ///                                this becomes Screening, the rung above
-///                                Configured: a float32 screen decides the
-///                                clear regions and only borderline ones
-///                                pay the sound double tier;
+///                                Configured: a DeepZono screen decides
+///                                the clear regions and only borderline
+///                                ones pay the full tier;
 ///   BoxFloor < remaining <= RF   Resilient   — degradation ladder armed
 ///                                from layer 0 (local boxing bites early);
 ///   remaining <= BoxFloor        IntervalBox — StartAtFullBox: the whole

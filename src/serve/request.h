@@ -64,9 +64,9 @@ struct ServeRequest {
   bool Deterministic = false;
   bool Sound = false;
   bool Arcsine = false;
-  /// Two-tier precision fast path (wire field "fast_screen"): float32
-  /// screening decides clear regions, borderline regions re-run under the
-  /// sound double tier. Reported bounds always come from the sound tier.
+  /// Two-tier fast path (wire field "fast_screen"): a DeepZono screen
+  /// decides clear regions, borderline regions re-run under the full
+  /// tier. Decided regions contribute their CDF mass.
   bool FastScreen = false;
   /// Fault injection for the CI smoke job ("crash"|"hang"|"oomkill"|
   /// "slow"; empty = none). Honored only when the server runs with

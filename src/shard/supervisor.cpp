@@ -461,7 +461,7 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
   Cfg.Resilience.StartAtFullBox = Rung == ShardRung::IntervalBox;
   // The two-tier screen applies only to the first, un-escalated attempt:
   // a retry or an escalated rung means the fast path already failed this
-  // request once, so it runs the full sound tier directly.
+  // request once, so it runs the full tier directly.
   const bool Screen =
       Cfg.FastScreen && Rung == ShardRung::Configured && !Ctx.Specs.empty();
   if (!Screen)
@@ -474,11 +474,10 @@ ShardResult runShardAttempt(const ShardWorkContext &Ctx,
   const GenProve GP(Cfg);
 
   if (Screen) {
-    // Two-tier path: per spec, the float32 screen classifies the shard's
-    // parameter range piecewise and only borderline pieces re-run under
-    // the sound double tier (GenProve::analyzeSegmentScreened). Every
-    // reported bound comes from the sound tier; the screen only decides
-    // which pieces need it.
+    // Two-tier path: per spec, the DeepZono screen classifies the shard's
+    // parameter range cell by cell and only borderline cells re-run under
+    // the full tier (GenProve::analyzeSegmentScreened). The screen only
+    // decides which cells need it; decided cells add their CDF mass.
     ShardResult Out;
     Out.Shard = Plan.Shard;
     Out.Attempt = Plan.Attempt;

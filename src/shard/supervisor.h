@@ -44,8 +44,8 @@ namespace genprove {
 /// The supervision rung a worker attempt runs at (distinct from the
 /// in-process DegradeRung, which can still climb *within* an attempt).
 /// Ordered by increasing coarseness: Screening sits ABOVE Configured in
-/// the QoS ladder (a float32 screen decides clear regions, only the
-/// borderline set pays the sound double tier) and therefore BELOW it
+/// the QoS ladder (a DeepZono screen decides clear regions, only the
+/// borderline set pays the full tier) and therefore BELOW it
 /// numerically, so the scheduler's rung-floor maximum and the escalation
 /// increment abandon the screen before anything else.
 enum class ShardRung : uint8_t {

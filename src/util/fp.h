@@ -31,7 +31,7 @@
 ///
 /// The nudge itself is an inline sign-magnitude integer step on the bit
 /// pattern, bitwise equal to std::nextafter(X, +-inf) for every input
-/// (fp::nudge, one implementation shared by the float and double helpers).
+/// (fp::nudge).
 ///
 /// The helpers are unconditional; call sites branch on
 /// soundRoundingEnabled() and keep the original round-to-nearest code when
@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 namespace genprove {
@@ -76,25 +75,22 @@ private:
 
 namespace fp {
 
-/// One ULP toward +inf or -inf on the bit pattern, for float and double:
-/// bitwise equal to std::nextafter(X, +-inf) for every input. NaN
-/// propagates (quieted), the infinity in the step's direction is a fixed
-/// point, +-0 steps to the smallest subnormal of the step's sign, and the
-/// opposite infinity steps to -+max. Inlined because the sound paths nudge
-/// every element of every bound plane, and the libm call is a measurable
-/// share of that.
-template <bool Upward, typename T> inline T nudge(T X) {
-  static_assert(std::numeric_limits<T>::is_iec559, "IEEE float or double");
-  using Bits = std::conditional_t<sizeof(T) == 8, uint64_t, uint32_t>;
-  static_assert(sizeof(Bits) == sizeof(T));
-  constexpr Bits Sign = Bits(1) << (8 * sizeof(Bits) - 1);
-  constexpr T Limit = Upward ? std::numeric_limits<T>::infinity()
-                             : -std::numeric_limits<T>::infinity();
+/// One ULP toward +inf or -inf on the bit pattern: bitwise equal to
+/// std::nextafter(X, +-inf) for every input. NaN propagates (quieted), the
+/// infinity in the step's direction is a fixed point, +-0 steps to the
+/// smallest subnormal of the step's sign, and the opposite infinity steps
+/// to -+max. Inlined because the sound paths nudge every element of every
+/// bound plane, and the libm call is a measurable share of that.
+template <bool Upward> inline double nudge(double X) {
+  static_assert(std::numeric_limits<double>::is_iec559, "IEEE double");
+  constexpr uint64_t Sign = uint64_t(1) << 63;
+  constexpr double Limit = Upward ? std::numeric_limits<double>::infinity()
+                                  : -std::numeric_limits<double>::infinity();
   if (std::isnan(X))
     return X + X; // quiets a signaling NaN, as nextafter does
   if (X == Limit)
     return X;
-  Bits B;
+  uint64_t B;
   std::memcpy(&B, &X, sizeof(B));
   if ((B & ~Sign) == 0)          // +0 or -0
     B = Upward ? 1 : (Sign | 1); // smallest subnormal of the step's sign
@@ -154,54 +150,6 @@ inline double divDown(double A, double B) {
 /// audit compares against.
 inline double accumulationBound(int64_t Terms) {
   return 4.0 * static_cast<double>(Terms + 4) * DBL_EPSILON;
-}
-
-//===--------------------------------------------------------------------===//
-// Single-precision directed helpers for the two-tier screening pass
-// (core/genprove.h FastScreen). The screen runs float32 round-to-nearest
-// kernels and widens with a sound cushion; these helpers build that
-// cushion and the float input enclosure with the same one-ULP nudge as
-// the double helpers above.
-//===--------------------------------------------------------------------===//
-
-/// One float ULP toward +inf (nextafterf(X, +inf)). The float helpers
-/// nudge every result, exact or not; the screen's normal-range floor
-/// already keeps its planes out of the subnormal range.
-inline float upF(float X) { return nudge<true>(X); }
-/// One float ULP toward -inf (nextafterf(X, -inf)).
-inline float downF(float X) { return nudge<false>(X); }
-
-inline float addUpF(float A, float B) { return upF(A + B); }
-inline float addDownF(float A, float B) { return downF(A + B); }
-inline float subUpF(float A, float B) { return upF(A - B); }
-inline float subDownF(float A, float B) { return downF(A - B); }
-inline float mulUpF(float A, float B) { return upF(A * B); }
-inline float mulDownF(float A, float B) { return downF(A * B); }
-
-/// Directed double->float conversion: the smallest float >= X. The cast
-/// rounds to nearest; one nudge covers the half-ULP it can undershoot by
-/// (including into/out of the subnormal range, where nextafterf steps by
-/// the subnormal spacing).
-inline float floatUp(double X) {
-  const float F = static_cast<float>(X);
-  return static_cast<double>(F) >= X ? F : upF(F);
-}
-
-/// Directed double->float conversion: the largest float <= X.
-inline float floatDown(double X) {
-  const float F = static_cast<float>(X);
-  return static_cast<double>(F) <= X ? F : downF(F);
-}
-
-/// Float analogue of accumulationBound: relative-error cushion for a
-/// K-term float32 round-to-nearest accumulation, with extra headroom for
-/// the round-to-nearest weight/input conversions (each a half-ULP
-/// relative error in the normal range) and the float evaluation of the
-/// magnitude term the cushion multiplies. The absolute error of
-/// subnormal-range conversions is NOT covered here — the screen adds a
-/// separate absolute floor for those.
-inline float accumulationBoundF(int64_t Terms) {
-  return 4.0f * static_cast<float>(Terms + 8) * FLT_EPSILON;
 }
 
 /// Neumaier-compensated sum rounded toward +inf. The compensated sum

@@ -77,19 +77,17 @@ TEST(Audit, ScreenedPathCovered) {
     // The screened-vs-full differential folds into DifferentialOk.
     EXPECT_TRUE(M.DifferentialOk) << M.Model << ": " << M.DifferentialNote;
   }
-  // The adversarial spec slices through the output range, so the MLP
-  // (whose pipeline the screen compiles) must produce borderline pieces —
-  // the screen cannot certify the boundary region.
+  // The adversarial spec slices through the output range, so the MLP must
+  // produce borderline cells: the screen cannot certify the boundary region.
   ASSERT_FALSE(Report.Models.empty());
   EXPECT_GT(Report.Models[0].ScreenedBorderline, 0);
-  // Conv pipelines are uncompilable: every piece must be borderline,
-  // never a false certificate.
-  for (const ModelAudit &M : Report.Models)
+  // Conv pipelines run through the same DeepZono screen: away from the
+  // boundary it decides cells, and (checked above) with 0 violations.
+  for (const ModelAudit &M : Report.Models) {
     if (M.Model != "mlp") {
-      EXPECT_EQ(M.ScreenedInside, 0) << M.Model;
-      EXPECT_EQ(M.ScreenedOutside, 0) << M.Model;
-      EXPECT_EQ(M.ScreenedBorderline, 32) << M.Model;
+      EXPECT_GT(M.ScreenedInside + M.ScreenedOutside, 0) << M.Model;
     }
+  }
 }
 
 TEST(Audit, DifferentialNestingHolds) {

@@ -11,12 +11,12 @@
 ///    equality on doubles, not a tolerance: the kernels keep the exact
 ///    per-element ascending-k accumulation order of the dot form.
 ///
-///  * --fast-screen: the float32 screen only *classifies* pieces; every
-///    reported bound comes from sound arithmetic (CDF masses for proven
-///    pieces, the sound double tier for borderline ones). The screened
-///    interval must therefore always be consistent with the full sound
-///    analysis, and a pipeline the screen cannot compile must collapse to
-///    all-borderline, never to a wrong certificate.
+///  * --fast-screen: the DeepZono screen only *classifies* pieces; every
+///    reported bound comes from the full tier's arithmetic (CDF masses for
+///    proven pieces, the full analysis for borderline ones). The screened
+///    interval must therefore always be consistent with the full analysis,
+///    on conv pipelines too, and under sound rounding a margin the screen
+///    cannot resolve must stay borderline, never a wrong certificate.
 ///
 /// Plus regression pins for the satellite fixes riding along: the
 /// PropagationCache overwrite accounting, the quantileFromBuckets edge
@@ -28,7 +28,6 @@
 #include "src/domains/box_domain.h"
 #include "src/domains/hybrid_zonotope.h"
 #include "src/domains/prop_cache.h"
-#include "src/domains/screen.h"
 #include "src/domains/zonotope.h"
 #include "src/nn/activations.h"
 #include "src/nn/conv.h"
@@ -383,77 +382,112 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndRounding, FusedBitIdentity,
                                             ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
-// The float32 screen: classification unit tests.
+// The DeepZono screen: classification unit tests.
 // ---------------------------------------------------------------------------
 
-/// 1 -> 1 identity pipeline: the screen box is the (padded) segment hull,
-/// so the halfspace y > 0 classifies exactly as the sign of the segment.
+Sequential identityNet() {
+  Sequential Net;
+  auto L = std::make_unique<Linear>(1, 1);
+  L->setWeight(Tensor({1, 1}, {1.0}));
+  L->bias()[0] = 0.0;
+  Net.add(std::move(L));
+  return Net;
+}
+
+OutputSpec positiveSpec() {
+  Tensor Normal({1, 1});
+  Normal[0] = 1.0;
+  return OutputSpec::halfspace(Normal, 0.0);
+}
+
+Region line1d(double From, double To) {
+  return makeSegmentRegion(Tensor({1, 1}, {From}), Tensor({1, 1}, {To}));
+}
+
+/// 1 -> 1 identity pipeline: the zonotope of a piece is the segment itself,
+/// so the halfspace y > 0 classifies exactly as the sign of the segment. A
+/// NaN never certifies anything. All pieces run in one batched call, in
+/// both rounding modes.
 TEST(ScreenClassifyTest, InsideOutsideBorderlineOnIdentity) {
-  Sequential Net;
-  auto L = std::make_unique<Linear>(1, 1);
-  L->setWeight(Tensor({1, 1}, {1.0}));
-  L->bias()[0] = 0.0;
-  Net.add(std::move(L));
-  const ScreenPlan Plan = buildScreenPlan(Net.view());
-  ASSERT_TRUE(Plan.Supported);
-
-  Tensor Normal({1, 1});
-  Normal[0] = 1.0;
-  const OutputSpec Spec = OutputSpec::halfspace(Normal, 0.0);
-
-  Tensor A({1, 1}), B({1, 1});
-  A[0] = 1.0;
-  B[0] = 2.0;
-  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B), Spec),
-            ScreenVerdict::Inside);
-  A[0] = -2.0;
-  B[0] = -1.0;
-  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B), Spec),
-            ScreenVerdict::Outside);
-  A[0] = -1.0;
-  B[0] = 1.0;
-  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B), Spec),
-            ScreenVerdict::Borderline);
+  const Sequential Net = identityNet();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  for (const bool Sound : {false, true}) {
+    SoundRoundingScope Scope(Sound);
+    const std::vector<ScreenVerdict> V = screenPieces(
+        Net.view(), Shape({1, 1}),
+        {line1d(1.0, 2.0), line1d(-2.0, -1.0), line1d(-1.0, 1.0),
+         line1d(NaN, 1.0)},
+        positiveSpec());
+    ASSERT_EQ(V.size(), 4u);
+    EXPECT_EQ(V[0], ScreenVerdict::Inside) << Sound;
+    EXPECT_EQ(V[1], ScreenVerdict::Outside) << Sound;
+    EXPECT_EQ(V[2], ScreenVerdict::Borderline) << Sound;
+    EXPECT_EQ(V[3], ScreenVerdict::Borderline) << Sound;
+  }
 }
 
-TEST(ScreenClassifyTest, ConvPipelineIsUnsupported) {
-  Sequential Net;
-  Net.add(std::make_unique<Conv2d>(1, 1, 3, 1, 1));
-  const ScreenPlan Plan = buildScreenPlan(Net.view());
-  EXPECT_FALSE(Plan.Supported);
-
-  Tensor Normal({1, 1});
-  Normal[0] = 1.0;
-  Tensor A({1, 1}), B({1, 1});
-  A[0] = 5.0;
-  B[0] = 6.0;
-  // Unsupported plans never certify anything.
-  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B),
-                           OutputSpec::halfspace(Normal, 0.0)),
-            ScreenVerdict::Borderline);
-}
-
-/// The cushion is an over-approximation: a margin of the same order as
-/// float epsilon times the activation magnitude must NOT be certified
-/// (the screen can only claim what survives the cushion widening).
+/// Under sound rounding the slack is an over-approximation: a margin below
+/// eps times the activation magnitude (here one ULP of 1e6) must NOT be
+/// certified, although round-to-nearest arithmetic would certify it.
 TEST(ScreenClassifyTest, TinyMarginStaysBorderline) {
-  Sequential Net;
-  auto L = std::make_unique<Linear>(1, 1);
-  L->setWeight(Tensor({1, 1}, {1.0}));
-  L->bias()[0] = 0.0;
-  Net.add(std::move(L));
-  const ScreenPlan Plan = buildScreenPlan(Net.view());
-  ASSERT_TRUE(Plan.Supported);
-
+  const Sequential Net = identityNet();
   Tensor Normal({1, 1});
   Normal[0] = 1.0;
-  // y > 1e6 - eps-ish margin around activations of magnitude 1e6.
-  const OutputSpec Spec = OutputSpec::halfspace(Normal, -1e6 + 0.01);
-  Tensor A({1, 1}), B({1, 1});
-  A[0] = 1e6;
-  B[0] = 1e6 + 0.005;
-  EXPECT_EQ(screenClassify(Plan, makeSegmentRegion(A, B), Spec),
+  const double Boundary = std::nextafter(1e6, 0.0);
+  const OutputSpec Spec = OutputSpec::halfspace(Normal, -Boundary);
+  const std::vector<Region> Pieces{line1d(1e6, 1e6 + 1.0)};
+  {
+    SoundRoundingScope Scope(false);
+    EXPECT_EQ(screenPieces(Net.view(), Shape({1, 1}), Pieces, Spec)[0],
+              ScreenVerdict::Inside);
+  }
+  SoundRoundingScope Scope(true);
+  EXPECT_EQ(screenPieces(Net.view(), Shape({1, 1}), Pieces, Spec)[0],
             ScreenVerdict::Borderline);
+}
+
+/// A piece whose endpoint nearly cancels (A0 ~ -A1 P0) against a boundary
+/// at 0: its endpoint values are 2^-50 and 2^-50 + 2^-45, but evaluating
+/// it carries an error of order eps |A0|, and the sound slack must say so.
+/// A slack derived from the endpoint values (8 eps (|y0| + |y1|), ~1e-28)
+/// would certify it inside.
+TEST(ScreenClassifyTest, CancellingEndpointsStayBorderline) {
+  const Sequential Net = identityNet();
+  Region Line;
+  Line.Coeffs = Tensor({2, 1}, {-0.5 + 0x1p-50, 1.0});
+  const std::vector<Region> Pieces{
+      restrictCurve(Line, 0.5, 0.5 + 0x1p-45, 1.0)};
+  {
+    SoundRoundingScope Scope(false);
+    EXPECT_EQ(screenPieces(Net.view(), Shape({1, 1}), Pieces,
+                           positiveSpec())[0],
+              ScreenVerdict::Inside);
+  }
+  SoundRoundingScope Scope(true);
+  EXPECT_EQ(
+      screenPieces(Net.view(), Shape({1, 1}), Pieces, positiveSpec())[0],
+      ScreenVerdict::Borderline);
+}
+
+/// Coarse to fine: a decided whole range is one verdict for every cell, and
+/// a crossing range is halved until the crossing sits in one borderline
+/// cell.
+TEST(ScreenClassifyTest, CellsRefineOnlyAroundTheCrossing) {
+  const Sequential Net = identityNet();
+  const std::vector<double> Cuts = planRange(0.0, 1.0, 8);
+  const std::vector<ScreenVerdict> AllIn = screenCells(
+      Net.view(), Shape({1, 1}), line1d(1.0, 2.0), Cuts, positiveSpec());
+  EXPECT_EQ(AllIn, std::vector<ScreenVerdict>(8, ScreenVerdict::Inside));
+
+  // y(t) = 4t - 1.3 crosses 0 at t = 0.325, inside cell [0.25, 0.375).
+  const std::vector<ScreenVerdict> Cells = screenCells(
+      Net.view(), Shape({1, 1}), line1d(-1.3, 2.7), Cuts, positiveSpec());
+  ASSERT_EQ(Cells.size(), 8u);
+  for (size_t I = 0; I < 8; ++I)
+    EXPECT_EQ(Cells[I], I < 2    ? ScreenVerdict::Outside
+                        : I == 2 ? ScreenVerdict::Borderline
+                                 : ScreenVerdict::Inside)
+        << I;
 }
 
 // ---------------------------------------------------------------------------
@@ -542,9 +576,12 @@ TEST(ScreenedAnalysisTest, AllOutsideGivesNearZeroUpper) {
   EXPECT_LE(S.Bounds.Upper, 1e-3);
 }
 
-/// Unsupported pipeline (conv): every piece is borderline and the result
-/// still agrees with the full sound analysis.
-TEST(ScreenedAnalysisTest, UnsupportedPipelineCollapsesToBorderline) {
+/// A conv pipeline: the screen decides the cells away from the spec's
+/// boundary, and the screened bounds agree with the full tier's: to 1e-9
+/// under round-to-nearest, where both are exact analyses and differ only
+/// by the rounding of the mass sums, and as intersecting intervals under
+/// sound rounding.
+TEST(ScreenedAnalysisTest, ConvPipelineDecidesCellsConsistentWithFullTier) {
   Rng R(97);
   Sequential Net;
   auto C = std::make_unique<Conv2d>(1, 2, 3, 1, 1);
@@ -560,26 +597,42 @@ TEST(ScreenedAnalysisTest, UnsupportedPipelineCollapsesToBorderline) {
 
   const Tensor Start = Tensor::randn({1, 16}, R, 0.5);
   const Tensor End = Tensor::randn({1, 16}, R, 0.5);
-  const OutputSpec Spec = OutputSpec::argmaxWins(0, 2);
   const Shape In({1, 1, 4, 4});
+  // Boundary through the output at the middle of the segment.
+  Tensor MidPoint({1, 16});
+  for (int64_t J = 0; J < 16; ++J)
+    MidPoint[J] = 0.5 * (Start[J] + End[J]);
+  const double Mid = forwardConcretePoints(Net.view(), In, MidPoint)[0];
+  Tensor Normal({1, 2});
+  Normal[0] = 1.0;
+  const OutputSpec Spec = OutputSpec::halfspace(Normal, -Mid);
 
-  GenProveConfig Config;
-  Config.FastScreen = true;
-  Config.ScreenSplits = 8;
-  const AnalysisResult S =
-      GenProve(Config).analyzeSegment(Net.view(), In, Start, End, Spec);
-  EXPECT_TRUE(S.Screened);
-  EXPECT_EQ(S.ScreenedInside, 0);
-  EXPECT_EQ(S.ScreenedOutside, 0);
-  EXPECT_EQ(S.ScreenedBorderline, Config.ScreenSplits);
+  for (const bool Sound : {false, true}) {
+    SoundRoundingScope Scope(Sound);
+    GenProveConfig Config;
+    Config.FastScreen = true;
+    Config.ScreenSplits = 8;
+    const AnalysisResult S =
+        GenProve(Config).analyzeSegment(Net.view(), In, Start, End, Spec);
+    EXPECT_TRUE(S.Screened);
+    EXPECT_GT(S.ScreenedInside + S.ScreenedOutside, 0) << Sound;
+    EXPECT_GT(S.ScreenedBorderline, 0) << Sound;
+    EXPECT_EQ(S.ScreenedInside + S.ScreenedOutside + S.ScreenedBorderline,
+              Config.ScreenSplits);
 
-  GenProveConfig Full;
-  const AnalysisResult F =
-      GenProve(Full).analyzeSegment(Net.view(), In, Start, End, Spec);
-  EXPECT_LE(S.Bounds.Lower, F.Bounds.Upper);
-  EXPECT_LE(F.Bounds.Lower, S.Bounds.Upper);
-  EXPECT_GE(S.Bounds.Lower, 0.0);
-  EXPECT_LE(S.Bounds.Upper, 1.0);
+    const AnalysisResult F =
+        GenProve(GenProveConfig{}).analyzeSegment(Net.view(), In, Start, End,
+                                                  Spec);
+    if (Sound) {
+      // The sound full tier is not exact here (it reports [0.088, 0.268]
+      // around 0.127); both intervals contain the true value.
+      EXPECT_LE(S.Bounds.Lower, F.Bounds.Upper);
+      EXPECT_LE(F.Bounds.Lower, S.Bounds.Upper);
+    } else {
+      EXPECT_NEAR(S.Bounds.Lower, F.Bounds.Lower, 1e-9);
+      EXPECT_NEAR(S.Bounds.Upper, F.Bounds.Upper, 1e-9);
+    }
+  }
 }
 
 /// Monte-Carlo containment: the screened bounds must cover the empirical

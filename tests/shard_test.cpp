@@ -10,6 +10,7 @@
 
 #include "src/core/genprove.h"
 #include "src/domains/memory_model.h"
+#include "src/domains/zonotope.h"
 #include "src/nn/activations.h"
 #include "src/nn/linear.h"
 #include "src/obs/metrics.h"
@@ -830,9 +831,9 @@ TEST(ShardAttempt, OneShardIsBitIdenticalToAnalyzeSegment) {
 }
 
 /// An identity layer that records the curve coefficient rows the engine
-/// hands it: offsets through applyAffine, slopes through applyLinear. Its
-/// kind is Conv2d so the float32 screen cannot compile it and every screen
-/// piece reaches the engine as a borderline piece.
+/// hands it: offsets through applyAffine, slopes through applyLinear. The
+/// DeepZono screen calls the same two entry points with zonotope centers
+/// and generators, one call each per refinement level.
 class RecordingIdentity : public Layer {
 public:
   RecordingIdentity() : Layer(Kind::Conv2d) {}
@@ -869,7 +870,7 @@ TEST(RangePieces, EverySplitShardAndScreenPieceIsTheFullSegment) {
 
   // Every recorded row must carry the full segment's coefficients bit for
   // bit: no piece endpoint is ever interpolated.
-  const auto ExpectPieces = [&](const char *What) {
+  const auto ExpectPieces = [&](const char *What, int64_t NumPieces) {
     for (const auto &[Rows, Degree] :
          {std::pair{&Rec.Offsets, 0}, std::pair{&Rec.Slopes, 1}}) {
       int64_t NumRows = 0;
@@ -879,7 +880,7 @@ TEST(RangePieces, EverySplitShardAndScreenPieceIsTheFullSegment) {
             EXPECT_EQ(std::bit_cast<uint64_t>(T.at(Row, J)),
                       std::bit_cast<uint64_t>(Full.Coeffs.at(Degree, J)))
                 << What << " row " << NumRows << " degree " << Degree;
-      EXPECT_EQ(NumRows, N) << What;
+      EXPECT_EQ(NumRows, NumPieces) << What;
       Rows->clear();
     }
   };
@@ -887,7 +888,7 @@ TEST(RangePieces, EverySplitShardAndScreenPieceIsTheFullSegment) {
   GenProveConfig Split;
   Split.InputSplits = N;
   GenProve(Split).propagateSegment(Pipeline, In, A, B);
-  ExpectPieces("split");
+  ExpectPieces("split", N);
 
   ShardWorkContext Ctx;
   Ctx.Pipeline = Pipeline;
@@ -901,15 +902,34 @@ TEST(RangePieces, EverySplitShardAndScreenPieceIsTheFullSegment) {
     Plan.Shard = K;
     runShardAttempt(Ctx, Plan);
   }
-  ExpectPieces("shard");
+  ExpectPieces("shard", N);
 
+  // The screen: a boundary through output 0 at t = 0.5 leaves the middle
+  // cell borderline and decides the others. The screen's own calls come
+  // first; counted by a screenCells run alone, they are dropped, and the
+  // borderline piece the full tier runs must be the full segment.
+  Tensor Normal({1, 4});
+  Normal[0] = 1.0;
+  const OutputSpec Crossing =
+      OutputSpec::halfspace(Normal, -0.5 * (A[0] + B[0]));
+  screenCells(Pipeline, In, Full, planRange(0.0, 1.0, N), Crossing);
+  const size_t ScreenCalls = Rec.Offsets.size();
+  EXPECT_EQ(Rec.Slopes.size(), ScreenCalls);
+  Rec.Offsets.clear();
+  Rec.Slopes.clear();
   GenProveConfig Screen;
   Screen.FastScreen = true;
   Screen.ScreenSplits = N;
   const AnalysisResult S =
-      GenProve(Screen).analyzeSegment(Pipeline, In, A, B, Spec);
-  EXPECT_EQ(S.ScreenedBorderline, N);
-  ExpectPieces("screen");
+      GenProve(Screen).analyzeSegment(Pipeline, In, A, B, Crossing);
+  EXPECT_EQ(S.ScreenedBorderline, 1);
+  EXPECT_EQ(S.ScreenedInside + S.ScreenedOutside, N - 1);
+  for (auto *Rows : {&Rec.Offsets, &Rec.Slopes}) {
+    ASSERT_GE(Rows->size(), ScreenCalls);
+    Rows->erase(Rows->begin(),
+                Rows->begin() + static_cast<std::ptrdiff_t>(ScreenCalls));
+  }
+  ExpectPieces("screen", S.ScreenedBorderline);
 }
 
 // ---------------------------------------------------------------------------

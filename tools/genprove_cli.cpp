@@ -118,14 +118,12 @@ namespace {
       "                      a sub-percent width cost (docs/SOUNDNESS.md)\n"
       "\n"
       "kernels (docs/PERFORMANCE.md):\n"
-      "  --fast-screen       two-tier precision fast path: a float32\n"
-      "                      screen with a sound error cushion classifies\n"
-      "                      parameter pieces as inside/outside/borderline\n"
-      "                      and only borderline pieces re-run under the\n"
-      "                      double-precision sound tier; every reported\n"
-      "                      bound comes from sound arithmetic\n"
-      "  --screen-splits N   pieces the screen splits the range into\n"
-      "                      (default 32)\n"
+      "  --fast-screen       two-tier fast path: DeepZono classifies\n"
+      "                      parameter cells coarse to fine as inside/\n"
+      "                      outside/borderline and only borderline cells\n"
+      "                      run the full analysis; decided cells add their\n"
+      "                      CDF mass (rigorous under --sound)\n"
+      "  --screen-splits N   cells of the finest screen grid (default 32)\n"
       "\n"
       "cross-query amortization (docs/PERFORMANCE.md):\n"
       "  --start/--end ...   repeated pairs define several latent segments;\n"
@@ -994,8 +992,8 @@ int main(int Argc, char **Argv) {
   if (Config.FastScreen) {
     // Two-tier screened path: classification is per (segment, spec) — the
     // screen's verdicts depend on the constraint functionals — so each
-    // pair x spec runs its own screened analysis (the float tier is
-    // cheap; borderline pieces share one sound propagation per call).
+    // pair x spec runs its own screened analysis (borderline cells share
+    // one full-tier propagation per call).
     GENPROVE_SPAN("analyze_screened");
     bool Degraded = false;
     double Seconds = 0.0;

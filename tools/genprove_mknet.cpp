@@ -1,6 +1,6 @@
 //===- tools/genprove_mknet.cpp - tiny pipeline generator -------*- C++ -*-===//
 //
-// Write two small deterministic serialized pipelines plus start/end latent
+// Write three small deterministic serialized pipelines plus start/end latent
 // vectors, so genprove_cli can be exercised without training a model zoo.
 // Used by the CI smoke tests and handy for local experiments:
 //
@@ -13,12 +13,16 @@
 // deeper 6 -> 32 -> 32 -> 32 -> 4 chain (start/end in deep_start.txt /
 // deep_end.txt, input shape 1x6) with three affine->ReLU pairs, so the
 // CI smoke differentials run more than one Linear layer per forward pass.
+// conv_net.bin is the audit zoo's DecoderSmall -> ConvSmall at 8x8 (latent
+// 4, 3 outputs; conv_start.txt / conv_end.txt, input shape 1x4), so the
+// smoke differentials cover transposed and strided convolutions too.
 //
 // Exit codes: 0 ok, 2 usage or I/O error.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/nn/activations.h"
+#include "src/nn/architectures.h"
 #include "src/nn/init.h"
 #include "src/nn/linear.h"
 #include "src/nn/serialize.h"
@@ -105,11 +109,36 @@ int main(int Argc, char **Argv) {
                  OutDir.c_str());
     return 2;
   }
+  // The conv smoke network: DecoderSmall -> ConvSmall at 8x8.
+  Rng ConvR(2023);
+  Sequential Conv = makeDecoderSmall(/*Latent=*/4, /*ImgChannels=*/1,
+                                     /*ImgSize=*/8);
+  Conv.append(makeConvSmall(/*ImgChannels=*/1, /*ImgSize=*/8, /*NumOut=*/3));
+  kaimingInit(Conv, ConvR);
+
+  const Tensor C1 = Tensor::randn({1, 4}, ConvR);
+  const Tensor C2 = Tensor::randn({1, 4}, ConvR);
+
+  const std::string ConvPath = OutDir + "/conv_net.bin";
+  if (!saveNetwork(Conv, ConvPath)) {
+    std::fprintf(stderr, "genprove_mknet: cannot write %s\n",
+                 ConvPath.c_str());
+    return 2;
+  }
+  if (!writeVector(OutDir + "/conv_start.txt", C1) ||
+      !writeVector(OutDir + "/conv_end.txt", C2)) {
+    std::fprintf(stderr, "genprove_mknet: cannot write vectors under %s\n",
+                 OutDir.c_str());
+    return 2;
+  }
   std::printf("wrote %s, %s/start.txt, %s/end.txt (input shape 1x4, 3 "
               "outputs)\n",
               NetPath.c_str(), OutDir.c_str(), OutDir.c_str());
   std::printf("wrote %s, %s/deep_start.txt, %s/deep_end.txt (input shape "
               "1x6, 4 outputs)\n",
               DeepPath.c_str(), OutDir.c_str(), OutDir.c_str());
+  std::printf("wrote %s, %s/conv_start.txt, %s/conv_end.txt (input shape "
+              "1x4, 3 outputs)\n",
+              ConvPath.c_str(), OutDir.c_str(), OutDir.c_str());
   return 0;
 }
